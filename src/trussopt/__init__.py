@@ -18,7 +18,7 @@ from .model import (BucklingSpec, DisplacementLimit, LoadCase, Material,
 from .analysis import (AnalysisError, AnalysisResult, Analyzer,
                        SingularStructure, analyze, structure_weight)
 from .penalty import (ConstraintReport, PenaltyParams, default_penalty_params,
-                      evaluate_constraints, penalized_objective, penalty)
+                      evaluate_constraints, penalized_objective)
 from .ga import GaParams, Individual, Population
 from .annealing import SaParams
 from .hybrid import (ComparisonSummary, HybridParams, RunRecord,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .model import TrussModel
+from .model import DOF_NAMES, TrussModel
 
 
 class AnalysisError(Exception):
@@ -23,10 +23,6 @@ class AnalysisError(Exception):
 class SingularStructure(AnalysisError):
     """Reduced stiffness matrix is (numerically) singular: the structure
     is a mechanism, not merely a bad candidate design."""
-
-
-class BucklingNotEnabled(AnalysisError):
-    pass
 
 
 class ZeroLengthElement(AnalysisError):
@@ -47,16 +43,6 @@ class LoadCaseResult:
 class AnalysisResult:
     weight: float        # lb
     cases: tuple         # one LoadCaseResult per load case, model order
-
-
-def element_length(model, element):
-    """Euclidean length of one element, in inches."""
-    a = np.array(model.nodes[element.node_a].coords)
-    b = np.array(model.nodes[element.node_b].coords)
-    length = float(np.linalg.norm(b - a))
-    if length < 1e-12:
-        raise ZeroLengthElement(f"element {element.id} has zero length")
-    return length
 
 
 class Analyzer:
@@ -97,8 +83,8 @@ class Analyzer:
         cols = np.tile(dofs, (1, 6))
         keep = self.free[rows] & self.free[cols]
         flat = pos[rows] * self.n_free + pos[cols]
-        self.outer = d6[:, :, None] * d6[:, None, :]       # (n_el, 6, 6)
-        outer_flat = self.outer.reshape(len(self.lengths), 36)
+        outer = d6[:, :, None] * d6[:, None, :]            # (n_el, 6, 6)
+        outer_flat = outer.reshape(len(self.lengths), 36)
         self._scatter_idx = flat[keep]
         self._scatter_coeff = outer_flat[keep]
         self._keep = keep
@@ -113,6 +99,43 @@ class Analyzer:
             for nid, f in lc.point_loads:
                 F[3 * nid:3 * nid + 3, j] += f
         self.F_free = F[self.free]
+
+        # the constraint table, one row per constraint of a load case: each
+        # element's stress, followed by its Euler buckling bound if its
+        # group buckles, then the displacement limits in sorted (node, dof)
+        # order. A row reads column `source` of the case's [stresses |
+        # displacements] and divides it by the limit of the same sign
+        table = []         # (source, upper, lower, kind, where)
+        buckling_K = []
+        for i, e in enumerate(model.elements):
+            g = model.groups[self.group_of[i]]
+            table.append((i, g.stress_tension_limit, -g.stress_compression_limit,
+                         "stress", {"element": e.id}))
+            if g.buckling is not None:
+                # lower is -K*E*A/L^2, set per design; in force only under
+                # compression
+                table.append((i, np.inf, np.nan, "buckling", {"element": e.id}))
+                buckling_K.append(g.buckling.K)
+        for dl in model.displacement_limits:
+            for nid in sorted(dl.nodes):
+                for dof in sorted(dl.dofs):
+                    table.append((len(self.lengths) + 3 * nid + DOF_NAMES.index(dof),
+                                 dl.limit, -dl.limit,
+                                 "displacement", {"node": nid, "dof": dof}))
+        source, upper, lower, kinds, where = zip(*table)
+        self.row_source = np.array(source)
+        self.row_upper = np.array(upper)
+        self.row_lower = np.array(lower)
+        self.buckling_row = np.flatnonzero(np.array(kinds) == "buckling")
+        buckling_el = self.row_source[self.buckling_row]
+        self.buckling_group = self.group_of[buckling_el]
+        self.buckling_coeff = -np.array(buckling_K) * self.E
+        self.buckling_L2 = self.lengths[buckling_el] ** 2
+        # one label per (load case, row), in row-major order
+        self.row_labels = np.array(
+            [{"kind": kind, "case": lc.id, **at}
+             for lc in model.load_cases for kind, at in zip(kinds, where)],
+            dtype=object)
 
     def structure_weight(self, areas):
         """Total weight: density * sum over elements of area * length."""
@@ -152,14 +175,6 @@ class Analyzer:
         elong = np.einsum("ij,ij->i", self.d6, u[self.elem_dofs])
         return self.E * elong / self.lengths
 
-    def solve_load_case(self, areas, case_index):
-        """Displacements and stresses for one load case."""
-        factor = self.factorize(areas)
-        u_free = cho_solve(factor, self.F_free[:, case_index], check_finite=False)
-        u = self._expand(u_free)
-        return LoadCaseResult(displacements=u.reshape(-1, 3),
-                              element_stresses=self._stresses(u))
-
     def analyze(self, areas):
         """Full AnalysisResult: every load case plus the structure weight."""
         areas = np.asarray(areas, dtype=float)
@@ -192,24 +207,6 @@ def assemble_global_stiffness(model, areas):
     return get_analyzer(model).assemble(areas)
 
 
-def solve_load_case(model, areas, case):
-    """case: a LoadCase of the model or its index."""
-    idx = case if isinstance(case, int) else list(model.load_cases).index(case)
-    return get_analyzer(model).solve_load_case(areas, idx)
-
-
 def analyze(model, areas) -> AnalysisResult:
     return get_analyzer(model).analyze(areas)
 
-
-def buckling_stress_limit(model, element, area):
-    """Euler buckling bound for an element: -K * E * A / L^2 (ksi, negative).
-
-    Compressive stress must stay above (less negative than) this bound.
-    """
-    gidx = {g.id: g for g in model.groups}
-    group = gidx[element.group]
-    if group.buckling is None:
-        raise BucklingNotEnabled(f"group {group.id} has no buckling record")
-    L = element_length(model, element)
-    return -group.buckling.K * model.material.elastic_modulus * float(area) / L ** 2

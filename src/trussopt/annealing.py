@@ -44,13 +44,6 @@ class SaParams:
             raise ValueError("radius_gamma must exceed 1")
 
 
-@dataclass
-class NeighborhoodState:
-    radii: np.ndarray
-    center: np.ndarray
-    iterations_since_improvement: int = 0
-
-
 def initial_radii(top10, lo, hi):
     """Per-variable max-min spread over the 10 best designs.
 
@@ -99,33 +92,34 @@ def anneal(objective, start_design, start_value, radii, lo, hi, params, rng):
     t_min = params.t_min_fraction * T
     epsilon = params.epsilon_fraction * abs(start_value)
 
-    state = NeighborhoodState(radii=np.array(radii, dtype=float),
-                              center=np.array(start_design, dtype=float))
+    radii = np.array(radii, dtype=float)
+    center = np.array(start_design, dtype=float)
+    since_improvement = 0
     f_cur = start_value
-    best = state.center.copy()
+    best = center.copy()
     f_best = f_cur
     trace = []
     recent = []  # best-value history for the stagnation criterion
     it = 0
     while it < max_iter and T >= t_min:
         it += 1
-        cand = sample_neighbor(state.center, state.radii, rng, lo, hi)
+        cand = sample_neighbor(center, radii, rng, lo, hi)
         f_cand = objective(cand)
         if rng.uniform() < acceptance_probability(f_cur, f_cand, T):
-            state.center = cand
+            center = cand
             f_cur = f_cand
         if f_cur < f_best:
             f_best = f_cur
-            best = state.center.copy()
-            state.iterations_since_improvement = 0
+            best = center.copy()
+            since_improvement = 0
         else:
-            state.iterations_since_improvement += 1
-            if state.iterations_since_improvement >= beta:
-                state.radii = state.radii / params.radius_gamma
-                state.iterations_since_improvement = 0
+            since_improvement += 1
+            if since_improvement >= beta:
+                radii = radii / params.radius_gamma
+                since_improvement = 0
         if it % n == 0:
             T *= params.cooling_alpha
-        trace.append((it, T, float(np.linalg.norm(state.radii)), f_best))
+        trace.append((it, T, float(np.linalg.norm(radii)), f_best))
         recent.append(f_best)
         if len(recent) > window:
             recent.pop(0)

@@ -17,8 +17,8 @@ import sys
 
 import numpy as np
 
-from . import analysis, annealing, benchmarks, ga, hybrid, io as model_io
-from .model import DOF_NAMES, ModelError
+from . import analysis, annealing, benchmarks, ga, hybrid, io as model_io, penalty
+from .model import ModelError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -30,46 +30,37 @@ class _Parser(argparse.ArgumentParser):
 
 
 def load_model(spec):
-    """Resolve --model: either 'builtin:NAME' or a JSON document path."""
+    """Resolve --model: either 'builtin:NAME' or a JSON document path.
+
+    A mechanism is rejected here: a stiffness matrix with positive areas
+    is singular at every design or at none, so one factorization at the
+    upper area bounds decides it.
+    """
     if spec.startswith("builtin:"):
         name = spec[len("builtin:"):]
         try:
-            return benchmarks.get_builtin(name)
+            model = benchmarks.get_builtin(name)
         except KeyError as exc:
             raise ModelError(str(exc)) from None
-    if not os.path.exists(spec):
+    elif not os.path.exists(spec):
         raise ModelError(f"model file not found: {spec}")
-    with open(spec) as fh:
-        return model_io.parse_model(fh.read())
+    else:
+        with open(spec) as fh:
+            model = model_io.parse_model(fh.read())
+    try:
+        analysis.get_analyzer(model).factorize(model.area_bounds()[1])
+    except analysis.SingularStructure as exc:
+        raise ModelError(f"model {model.name} is a mechanism: {exc}") from None
+    return model
 
 
 def constraint_margins(model, areas):
-    """Normalized margins for every constraint at a design; negative
-    means slack, positive means violated by that fraction."""
+    """Weight, and the normalized margin and label of every constraint row
+    in force at a design (penalty.constraint_rows); a negative margin is
+    slack, a positive one is violated by that fraction."""
     result = analysis.analyze(model, areas)
-    expanded = model.expand_areas(areas)
-    margins = []
-    for case, cres in zip(model.load_cases, result.cases):
-        for e in model.elements:
-            g = model.groups[model.group_index()[e.group]]
-            s = cres.element_stresses[e.id]
-            if s >= 0:
-                m = s / g.stress_tension_limit - 1.0
-            else:
-                m = -s / g.stress_compression_limit - 1.0
-                if g.buckling is not None:
-                    sb = analysis.buckling_stress_limit(model, e, expanded[e.id])
-                    m = max(m, s / sb - 1.0)
-            margins.append({"kind": "stress", "case": case.id,
-                            "element": e.id, "margin": m})
-        for dl in model.displacement_limits:
-            for nid in sorted(dl.nodes):
-                for dof in sorted(dl.dofs):
-                    u = cres.displacements[nid, DOF_NAMES.index(dof)]
-                    margins.append({"kind": "displacement", "case": case.id,
-                                    "node": nid, "dof": dof,
-                                    "margin": abs(u) / dl.limit - 1.0})
-    return result.weight, margins
+    g, keep = penalty.constraint_rows(model, result, areas)
+    return result.weight, g[keep], analysis.get_analyzer(model).row_labels[keep.ravel()]
 
 
 def write_convergence_csv(path, history):
@@ -96,24 +87,23 @@ def _hybrid_params(args):
 
 def _result_document(model, record):
     best = record.best
-    weight, margins = constraint_margins(model, best.design)
-    worst = max((m["margin"] for m in margins), default=0.0)
+    weight, margins, labels = constraint_margins(model, best.design)
     return {
         "model": model.name,
         "seed": record.seed,
         "best_areas": [float(a) for a in best.design],
         "weight": weight,
         "feasible": record.best_is_feasible,
-        "worst_constraint_margin": worst,
+        "worst_constraint_margin": float(margins.max()),
         "total_evaluations": record.total_evaluations,
         "generations": record.history[-1].generation,
         "wall_time_seconds": record.wall_time,
-        "constraint_margins": margins,
+        "constraint_margins": [{**label, "margin": float(m)}
+                               for label, m in zip(labels, margins)],
     }
 
 
-def cmd_run(args):
-    model = load_model(args.model)
+def cmd_run(args, model):
     params = _hybrid_params(args)
     record = hybrid.run(model, params, seed=args.seed)
     out = args.out or os.path.join("runs", f"{model.name}-seed{args.seed}")
@@ -129,15 +119,14 @@ def cmd_run(args):
     return 0
 
 
-def cmd_verify(args):
-    model = load_model(args.model)
+def cmd_verify(args, model):
     areas = np.array(args.areas, dtype=float)
     if len(areas) != model.n_groups:
         print(f"error: model has {model.n_groups} design variables, "
               f"got {len(areas)} areas", file=sys.stderr)
         return 1
-    weight, margins = constraint_margins(model, areas)
-    worst = max((m["margin"] for m in margins), default=0.0)
+    weight, margins, _ = constraint_margins(model, areas)
+    worst = float(margins.max())
     feasible = worst <= args.slack
     print(f"weight: {weight:.2f} lb")
     print(f"worst constraint margin: {worst * 100:+.3f}% "
@@ -146,11 +135,10 @@ def cmd_verify(args):
     return 0
 
 
-def cmd_compare(args):
+def cmd_compare(args, model):
     if args.seeds < 5:
         print("error: --seeds must be >= 5", file=sys.stderr)
         return 1
-    model = load_model(args.model)
     params = _hybrid_params(args)
     seeds = list(range(args.seed, args.seed + args.seeds))
     summary = hybrid.compare_plain_ga(model, params, seeds)
@@ -172,7 +160,7 @@ def cmd_compare(args):
     return 0
 
 
-def cmd_list(args):
+def cmd_list(args, model):
     catalog = benchmarks.builtin_models()
     print(f"{'name':14s} {'members':>7s} {'groups':>6s} {'cases':>5s} "
           f"{'ref weight':>12s}")
@@ -250,11 +238,10 @@ def main(argv=None):
             return 1
     try:
         model_stage = True
-        if hasattr(args, "model"):
-            # resolve the model first so model errors map to exit code 2
-            load_model(args.model)
+        # resolve the model first so model errors map to exit code 2
+        model = load_model(args.model) if hasattr(args, "model") else None
         model_stage = False
-        return args.func(args)
+        return args.func(args, model)
     except (ModelError, model_io.ParseError) as exc:
         print(f"model error: {exc}", file=sys.stderr)
         return 2

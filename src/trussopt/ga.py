@@ -2,10 +2,12 @@
 
 Minimization is mapped onto fitness by the shifted reciprocal
 fitness = 1/(1 + F - F_min), which is translation invariant and strictly
-positive, so only the ordering of penalized objectives matters. All
-randomness flows through a single numpy Generator owned by the
-population; evaluation order never touches the generator, so runs are
-reproducible bit for bit.
+positive. It is not scale invariant: selection depends on the absolute
+differences F - F_min in lb, not only on the ordering of penalized
+objectives, so where designs differ by hundreds of lb (200bar) the best
+design takes almost the whole mating pool. All randomness flows through
+a single numpy Generator owned by the population; evaluation order never
+touches the generator, so runs are reproducible bit for bit.
 """
 
 from dataclasses import dataclass, field

@@ -98,8 +98,6 @@ def run(model, params, seed=None, max_evaluations=None):
         best, best_feasible = _track_best(best, best_feasible, ind)
 
     history = []
-    stagnant = 0
-    last_best_F = math.inf
 
     def record(sa_ran):
         F = np.array([i.penalized for i in pop.individuals])
@@ -136,13 +134,6 @@ def run(model, params, seed=None, max_evaluations=None):
             pop.individuals[victim] = sa_best
             sa_ran = True
         record(sa_ran)
-
-        best_F = history[-1].best_F
-        if last_best_F - best_F <= 1e-8:
-            stagnant += 1
-        else:
-            stagnant = 0
-        last_best_F = min(last_best_F, best_F)
     return RunRecord(history=history, best=best, best_is_feasible=best_feasible,
                      total_evaluations=evals,
                      wall_time=time.perf_counter() - t0,
@@ -165,8 +156,6 @@ def compare_plain_ga(model, params, seeds):
     analysis-evaluation budget per seed."""
     if len(seeds) < 5:
         raise ValueError("need at least 5 seeds")
-    plain_params = HybridParams(t_sa=math.inf, ga=params.ga, sa=params.sa,
-                                penalty=params.penalty)
     h_w, p_w, h_rec, p_rec = [], [], [], []
     for seed in seeds:
         rec_h = run(model, params, seed=seed)

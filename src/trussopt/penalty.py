@@ -45,43 +45,40 @@ def default_penalty_params(model, beta_exp=1.0):
     return PenaltyParams(alpha=alpha, beta_exp=beta_exp)
 
 
-def evaluate_constraints(model, result, areas=None):
-    """Build a ConstraintReport from an AnalysisResult.
+def constraint_rows(model, result, areas=None):
+    """The normalized constraints g = quantity/limit - 1 of a design, as an
+    (n_cases, n_rows) array over the rows of the model's constraint table
+    (analysis.Analyzer), and the mask of the entries in force: a buckling
+    row is in force only under compression.
 
-    Stress: g = sigma/limit - 1 against the tension limit for positive
-    stress, the compression limit magnitude for negative. Buckling, for
-    groups carrying a buckling record, uses the area-dependent Euler
-    bound, which requires `areas` (group order). Displacement limits
-    apply per node/dof/load case as |u|/limit - 1.
+    Stress: against the tension limit for positive stress, the compression
+    limit magnitude for negative. Buckling, for groups carrying a buckling
+    record, uses the area-dependent Euler bound -K*E*A/L^2, which requires
+    `areas` (group order). Displacement limits apply per node/dof/load case
+    as |u|/limit - 1.
     """
-    gmap = {g.id: g for g in model.groups}
-    gidx = model.group_index()
-    needs_buckling = any(g.buckling is not None for g in model.groups)
-    if needs_buckling and areas is None:
-        raise ValueError("areas required for buckling constraints")
-    if areas is not None:
-        areas = np.asarray(areas, dtype=float)
+    an = analysis.get_analyzer(model)
+    q = np.array([np.concatenate((case.element_stresses, case.displacements.ravel()))
+                  for case in result.cases])[:, an.row_source]
+    lower = an.row_lower
+    keep = np.ones(q.shape, dtype=bool)
+    if an.buckling_row.size:
+        if areas is None:
+            raise ValueError("areas required for buckling constraints")
+        lower = lower.copy()
+        lower[an.buckling_row] = (an.buckling_coeff * np.asarray(areas, dtype=float)
+                                  [an.buckling_group] / an.buckling_L2)
+        keep[:, an.buckling_row] = q[:, an.buckling_row] < 0
+    # the limit takes the sign of q, so q/limit = |q|/|limit|
+    g = q / np.where(q >= 0, an.row_upper, lower) - 1.0
+    return g, keep
 
-    out = []
-    for case in result.cases:
-        stresses = case.element_stresses
-        for e in model.elements:
-            s = stresses[e.id]
-            grp = gmap[e.group]
-            if s >= 0:
-                out.append(s / grp.stress_tension_limit - 1.0)
-            else:
-                out.append(-s / grp.stress_compression_limit - 1.0)
-                if grp.buckling is not None:
-                    limit = analysis.buckling_stress_limit(
-                        model, e, areas[gidx[e.group]])
-                    out.append(s / limit - 1.0)  # both negative: ratio > 1 violates
-        for dl in model.displacement_limits:
-            for nid in dl.nodes:
-                for dof in dl.dofs:
-                    u = case.displacements[nid, "xyz".index(dof)]
-                    out.append(abs(u) / dl.limit - 1.0)
-    violations = np.maximum(np.array(out), 0.0)
+
+def evaluate_constraints(model, result, areas=None):
+    """Build a ConstraintReport from an AnalysisResult: one violation per
+    row of the constraint table in force, case by case."""
+    g, keep = constraint_rows(model, result, areas)
+    violations = np.maximum(g[keep], 0.0)
     total = float(violations.sum())
     return ConstraintReport(violations=violations, total=total,
                             feasible=(total == 0.0))

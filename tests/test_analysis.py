@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from trussopt import analysis
-from trussopt.analysis import (BucklingNotEnabled, SingularStructure,
-                               analyze, assemble_global_stiffness,
-                               buckling_stress_limit, structure_weight)
+from trussopt.analysis import (SingularStructure, analyze,
+                               assemble_global_stiffness, structure_weight)
 from trussopt.model import (BucklingSpec, Material, MemberGroup, make_model)
+from trussopt.penalty import evaluate_constraints
 
 
 def test_single_bar_matches_hand_statics(single_bar):
@@ -85,17 +85,23 @@ def test_tension_positive_sign_convention(single_bar):
 
 
 def test_buckling_stress_limit_formula():
-    m = make_model(
-        "buck", [(0, 0), (100, 0)], [(0, 1, 0)],
-        [MemberGroup(0, 0.1, 10.0, 25.0, 25.0, BucklingSpec(4.0))],
-        Material(10000.0, 0.1), [(0, "xy"), (1, "y")], [{1: (1.0, 0)}])
-    limit = buckling_stress_limit(m, m.elements[0], 2.0)
-    assert limit == pytest.approx(-4.0 * 10000.0 * 2.0 / 100.0 ** 2, rel=1e-12)
-
-
-def test_buckling_limit_requires_buckling_group(single_bar):
-    with pytest.raises(BucklingNotEnabled):
-        buckling_stress_limit(single_bar, single_bar.elements[0], 2.0)
+    # Euler bound -K E A / L^2 = -4 * 1e4 * 2 / 100^2 = -8 ksi; a 32 kip
+    # push gives -16 ksi, so the buckling row right after the stress row
+    # reads -16 / -8 - 1 = 1
+    def bar(push):
+        return make_model(
+            "buck", [(0, 0), (100, 0)], [(0, 1, 0)],
+            [MemberGroup(0, 0.1, 10.0, 25.0, 25.0, BucklingSpec(4.0))],
+            Material(10000.0, 0.1), [(0, "xy"), (1, "y")], [{1: (-push, 0)}])
+    m = bar(32.0)
+    report = evaluate_constraints(m, analyze(m, [2.0]), areas=[2.0])
+    limit = -4.0 * 10000.0 * 2.0 / 100.0 ** 2
+    np.testing.assert_allclose(report.violations, [0.0, -16.0 / limit - 1.0],
+                               rtol=1e-12)
+    # in tension the buckling row is not in force
+    m = bar(-32.0)
+    report = evaluate_constraints(m, analyze(m, [2.0]), areas=[2.0])
+    assert len(report.violations) == 1
 
 
 def test_multiple_load_cases_solved_together():

@@ -1,11 +1,14 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
-from trussopt import benchmarks
-from trussopt.cli import main
+from trussopt import analysis, benchmarks
+from trussopt.cli import constraint_margins, main
 from trussopt.io import serialize_model
+from trussopt.model import Material, MemberGroup, make_model
+from trussopt.penalty import evaluate_constraints
 
 AREAS_10BAR = ("30.5091,0.1000,23.2004,15.1926,0.1000,"
                "0.5559,7.4612,21.0714,21.4731,0.1000")
@@ -85,3 +88,36 @@ def test_run_accepts_model_file(tmp_path):
                  "--population", "10", "--out", str(out)])
     assert code == 0
     assert (out / "result.json").exists()
+
+
+def test_mechanism_model_is_model_error(tmp_path, capsys):
+    # square frame without a diagonal: a shear mechanism at every design
+    mech = make_model(
+        "mech", [(0, 0), (100, 0), (100, 100), (0, 100)],
+        [(0, 1, 0), (1, 2, 0), (2, 3, 0), (3, 0, 0)],
+        [MemberGroup(0, 0.1, 10.0, 25.0, 25.0)],
+        Material(10000.0, 0.1), [(0, "xy"), (1, "y")], [{2: (5.0, 0.0)}])
+    p = tmp_path / "mech.json"
+    p.write_text(serialize_model(mech))
+    assert main(["run", "--model", str(p), "--generations", "2",
+                 "--population", "10", "--out", str(tmp_path / "out")]) == 2
+    assert "mechanism" in capsys.readouterr().err
+    assert main(["verify", "--model", str(p), "--areas", "1"]) == 2
+    assert "mechanism" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", benchmarks.builtin_names())
+def test_margins_are_the_penalty_rows(name):
+    entry = benchmarks.builtin_models()[name]
+    model, areas = entry.model, entry.reference_areas
+    _, margins, labels = constraint_margins(model, areas)
+    report = evaluate_constraints(model, analysis.analyze(model, areas), areas)
+    np.testing.assert_array_equal(np.maximum(margins, 0.0), report.violations)
+    assert len(labels) == len(margins)
+    kinds = {label["kind"] for label in labels}
+    assert ("buckling" in kinds) == (name == "18bar")
+    # displacement rows run in sorted (node, dof) order within a case
+    for case in model.load_cases:
+        where = [(label["node"], label["dof"]) for label in labels
+                 if label["kind"] == "displacement" and label["case"] == case.id]
+        assert where == sorted(where)

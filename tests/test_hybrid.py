@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import trussopt
 from trussopt import benchmarks
 from trussopt.ga import GaParams, Individual, Population
 from trussopt.hybrid import (HybridParams, RunRecord, compare_plain_ga,
@@ -135,3 +140,28 @@ def test_compare_budgets_match(small_model):
         assert rp.total_evaluations <= rh.total_evaluations + 10
     assert len(summary.hybrid_weights) == 5
     assert summary.hybrid_median == np.median(summary.hybrid_weights)
+
+
+_HISTORY_SCRIPT = """
+from trussopt import benchmarks, ga, hybrid
+rec = hybrid.run(benchmarks.get_builtin("25bar"),
+                 hybrid.HybridParams(ga=ga.GaParams(max_generations=10)), seed=0)
+print(repr([(h.generation, h.best_F, h.mean_F, h.best_feasible_weight,
+             h.evaluations, h.sa_ran) for h in rec.history]))
+print(rec.best.design.tobytes().hex())
+"""
+
+
+def test_run_is_deterministic_across_processes():
+    # string hashing and the BLAS thread count must not reach the history
+    # (25bar has displacement limits on the dofs {x, y, z})
+    src = str(Path(trussopt.__file__).resolve().parent.parent)
+    outputs = set()
+    for hash_seed, threads in (("0", "1"), ("1", "1"), ("0", "2")):
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed,
+               "OPENBLAS_NUM_THREADS": threads}
+        done = subprocess.run([sys.executable, "-c", _HISTORY_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=300,
+                              check=True)
+        outputs.add(done.stdout)
+    assert len(outputs) == 1

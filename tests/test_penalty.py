@@ -110,3 +110,9 @@ def test_buckling_needs_areas():
     res = analysis.analyze(m, [1.0])
     with pytest.raises(ValueError):
         evaluate_constraints(m, res)
+
+
+def test_penalty_submodule_is_importable():
+    # the package must not shadow the submodule with a same-named function
+    import trussopt.penalty as p
+    assert p.default_penalty_params is default_penalty_params
