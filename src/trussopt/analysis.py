@@ -1,17 +1,19 @@
 """Linear-elastic truss analysis by the direct stiffness method.
 
 All per-geometry quantities (member lengths, direction cosines, dof
-scatter indices) are precomputed once per model in an Analyzer, so that
-repeated analyses of different designs only pay for the stiffness
-assembly and a dense Cholesky solve. Everything is pure with respect to
-the design vector, so analyses may run concurrently on a shared model.
+scatter indices, the constraint table) are precomputed once per model in
+an Analyzer, so that repeated analyses of different designs only pay for
+the stiffness assembly and a dense Cholesky solve, which calls LAPACK
+potrf/potrs directly. An analysis yields one [stresses | displacements]
+row per load case, the columns the constraint table indexes. Everything
+is pure in the design vector, so analyses may run concurrently.
 """
 
 import weakref
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .model import DOF_NAMES, TrussModel
 
@@ -41,15 +43,24 @@ class LoadCaseResult:
 
 @dataclass(frozen=True)
 class AnalysisResult:
-    weight: float        # lb
-    cases: tuple         # one LoadCaseResult per load case, model order
+    weight: float          # lb
+    response: np.ndarray   # (n_cases, n_el + 3 * n_nodes), model case order:
+                           # element stresses, then nodal displacements
+    n_elements: int
+
+    @property
+    def cases(self):
+        """One LoadCaseResult per load case: views into `response`."""
+        n_el = self.n_elements
+        return tuple(LoadCaseResult(displacements=row[n_el:].reshape(-1, 3),
+                                    element_stresses=row[:n_el])
+                     for row in self.response)
 
 
 class Analyzer:
     """Per-model precomputation for fast repeated analysis."""
 
     def __init__(self, model: TrussModel):
-        self.model = model
         coords = model.node_coords()
         n_nodes = model.n_nodes
         ndof = 3 * n_nodes
@@ -60,18 +71,16 @@ class Analyzer:
         self.lengths = np.linalg.norm(delta, axis=1)
         if np.any(self.lengths < 1e-12):
             raise ZeroLengthElement("model contains a zero-length element")
-        self.dirs = delta / self.lengths[:, None]          # (n_el, 3) unit vectors
+        n_el = len(self.lengths)
+        dirs = delta / self.lengths[:, None]               # (n_el, 3) unit vectors
         self.group_of = model.element_group_indices()
 
         # signed 6-vector d per element: displacement u6 . d = axial elongation
-        d6 = np.hstack([-self.dirs, self.dirs])            # (n_el, 6)
-        self.d6 = d6
+        d6 = np.hstack([-dirs, dirs])                      # (n_el, 6)
         dofs = np.stack([3 * na, 3 * na + 1, 3 * na + 2,
                          3 * nb, 3 * nb + 1, 3 * nb + 2], axis=1)  # (n_el, 6)
-        self.elem_dofs = dofs
 
-        self.fixed = model.fixed_dof_mask()
-        self.free = ~self.fixed
+        self.free = ~model.fixed_dof_mask()
         self.n_free = int(self.free.sum())
         # position of each global dof inside the reduced system (-1 if fixed)
         pos = -np.ones(ndof, dtype=int)
@@ -84,27 +93,35 @@ class Analyzer:
         keep = self.free[rows] & self.free[cols]
         flat = pos[rows] * self.n_free + pos[cols]
         outer = d6[:, :, None] * d6[:, None, :]            # (n_el, 6, 6)
-        outer_flat = outer.reshape(len(self.lengths), 36)
+        outer_flat = outer.reshape(n_el, 36)
         self._scatter_idx = flat[keep]
         self._scatter_coeff = outer_flat[keep]
-        self._keep = keep
+        self._scatter_el = np.nonzero(keep)[0]             # element of each entry
 
-        self.ndof = ndof
         self.E = model.material.elastic_modulus
         self.density = model.material.weight_density
 
         # load vectors, reduced to free dofs, one column per load case
-        F = np.zeros((ndof, len(model.load_cases)))
+        n_cases = len(model.load_cases)
+        F = np.zeros((ndof, n_cases))
         for j, lc in enumerate(model.load_cases):
             for nid, f in lc.point_loads:
                 F[3 * nid:3 * nid + 3, j] += f
         self.F_free = F[self.free]
 
+        # response columns of the free dofs and of each element's dofs; the
+        # 2-D stress kernel over all cases' stacked element rows sums each
+        # row exactly as it would for a single case
+        self._free_cols = n_el + np.flatnonzero(self.free)
+        self._elem_cols = n_el + dofs
+        self._d6_stacked = np.tile(d6, (n_cases, 1))     # (n_cases * n_el, 6)
+        self._response_shape = (n_cases, n_el + ndof)
+
         # the constraint table, one row per constraint of a load case: each
         # element's stress, followed by its Euler buckling bound if its
         # group buckles, then the displacement limits in sorted (node, dof)
-        # order. A row reads column `source` of the case's [stresses |
-        # displacements] and divides it by the limit of the same sign
+        # order. A row reads column `source` of the response array and
+        # divides it by the limit of the same sign
         table = []         # (source, upper, lower, kind, where)
         buckling_K = []
         for i, e in enumerate(model.elements):
@@ -119,7 +136,7 @@ class Analyzer:
         for dl in model.displacement_limits:
             for nid in sorted(dl.nodes):
                 for dof in sorted(dl.dofs):
-                    table.append((len(self.lengths) + 3 * nid + DOF_NAMES.index(dof),
+                    table.append((n_el + 3 * nid + DOF_NAMES.index(dof),
                                  dl.limit, -dl.limit,
                                  "displacement", {"node": nid, "dof": dof}))
         source, upper, lower, kinds, where = zip(*table)
@@ -147,45 +164,61 @@ class Analyzer:
         areas = np.asarray(areas, dtype=float)
         k_axial = self.E * areas[self.group_of] / self.lengths  # (n_el,)
         # scatter-add all element (E*A/L) * d d^T blocks in one bincount
-        vals = np.repeat(k_axial, 36).reshape(-1, 36)[self._keep] * self._scatter_coeff
+        vals = k_axial[self._scatter_el] * self._scatter_coeff
         K = np.bincount(self._scatter_idx, weights=vals,
                         minlength=self.n_free * self.n_free)
         return K.reshape(self.n_free, self.n_free)
 
     def factorize(self, areas):
+        """Lower Cholesky factor of the reduced stiffness at a design."""
         K = self.assemble(areas)
         diag = np.diag(K)
         if diag.size == 0 or np.max(diag) <= 0:
             raise SingularStructure("stiffness matrix has no positive diagonal")
-        try:
-            c, low = cho_factor(K, lower=True, check_finite=False)
-        except np.linalg.LinAlgError:
-            raise SingularStructure("Cholesky factorization failed") from None
+        c, info = dpotrf(K, lower=1, clean=0)
+        if info > 0:
+            raise SingularStructure("Cholesky factorization failed")
         pivots = np.diag(c) ** 2
         if np.min(pivots) < SINGULARITY_RTOL * np.max(diag):
             raise SingularStructure("pivot below singularity tolerance")
-        return (c, low)
-
-    def _expand(self, u_free):
-        u = np.zeros(self.ndof)
-        u[self.free] = u_free
-        return u
-
-    def _stresses(self, u):
-        elong = np.einsum("ij,ij->i", self.d6, u[self.elem_dofs])
-        return self.E * elong / self.lengths
+        return c
 
     def analyze(self, areas):
-        """Full AnalysisResult: every load case plus the structure weight."""
+        """Weight and the response array of every load case."""
         areas = np.asarray(areas, dtype=float)
-        factor = self.factorize(areas)
-        U = cho_solve(factor, self.F_free, check_finite=False)
-        cases = []
-        for j in range(U.shape[1]):
-            u = self._expand(U[:, j])
-            cases.append(LoadCaseResult(displacements=u.reshape(-1, 3),
-                                        element_stresses=self._stresses(u)))
-        return AnalysisResult(weight=self.structure_weight(areas), cases=tuple(cases))
+        U, _ = dpotrs(self.factorize(areas), self.F_free, lower=1)
+        response = np.zeros(self._response_shape)
+        response[:, self._free_cols] = U.T
+        n_el = len(self.lengths)
+        elong = np.einsum("ij,ij->i", self._d6_stacked,
+                          response[:, self._elem_cols].reshape(-1, 6))
+        response[:, :n_el] = self.E * elong.reshape(-1, n_el) / self.lengths
+        return AnalysisResult(weight=self.structure_weight(areas),
+                              response=response, n_elements=n_el)
+
+    def constraint_rows(self, result, areas=None):
+        """The normalized constraints g = quantity/limit - 1 of an analysis,
+        an (n_cases, n_rows) array over the constraint table, and the mask
+        of the entries in force: a buckling row only under compression.
+
+        Stress: against the tension limit for positive stress, the
+        compression limit magnitude for negative. Buckling uses the
+        area-dependent Euler bound -K*E*A/L^2, which requires `areas`
+        (group order). Displacement: |u|/limit - 1.
+        """
+        q = result.response[:, self.row_source]
+        lower = self.row_lower
+        keep = np.ones(q.shape, dtype=bool)
+        if self.buckling_row.size:
+            if areas is None:
+                raise ValueError("areas required for buckling constraints")
+            lower = lower.copy()
+            lower[self.buckling_row] = (self.buckling_coeff * np.asarray(
+                areas, dtype=float)[self.buckling_group] / self.buckling_L2)
+            keep[:, self.buckling_row] = q[:, self.buckling_row] < 0
+        # the limit takes the sign of q, so q/limit = |q|/|limit|
+        g = q / np.where(q >= 0, self.row_upper, lower) - 1.0
+        return g, keep
 
 
 _analyzers = weakref.WeakKeyDictionary()

@@ -132,20 +132,21 @@ def anneal(objective, start_design, start_value, radii, lo, hi, params, rng):
 def sa_run(start, top10, model, sa_params, penalty_params, frozen_iteration, rng):
     """SA from the fittest individual; penalty iteration held constant.
 
-    Returns (best Individual, trace). The result is never worse than the
-    starting individual in penalized objective.
+    Returns (best Individual, trace): `start` itself unless a candidate
+    went below it, else the first candidate of least penalized objective,
+    which anneal always accepts and so returns as its best.
     """
     lo, hi = model.area_bounds()
     radii = initial_radii([ind.design for ind in top10], lo, hi)
-    cache = {}
+    best = start
 
     def objective(design):
+        nonlocal best
         ind = ga.evaluate_design(model, design, penalty_params, frozen_iteration)
-        cache[design.tobytes()] = ind
+        if ind.penalized < best.penalized:
+            best = ind
         return ind.penalized
 
-    best_design, f_best, trace = anneal(
-        objective, start.design, start.penalized, radii, lo, hi, sa_params, rng)
-    if f_best >= start.penalized:
-        return start, trace
-    return cache[best_design.tobytes()], trace
+    _, _, trace = anneal(objective, start.design, start.penalized, radii,
+                         lo, hi, sa_params, rng)
+    return best, trace

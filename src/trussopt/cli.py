@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from . import analysis, annealing, benchmarks, ga, hybrid, io as model_io, penalty
+from . import analysis, annealing, benchmarks, ga, hybrid, io as model_io
 from .model import ModelError
 
 
@@ -56,11 +56,12 @@ def load_model(spec):
 
 def constraint_margins(model, areas):
     """Weight, and the normalized margin and label of every constraint row
-    in force at a design (penalty.constraint_rows); a negative margin is
-    slack, a positive one is violated by that fraction."""
+    in force at a design (analysis.Analyzer.constraint_rows); a negative
+    margin is slack, a positive one is violated by that fraction."""
     result = analysis.analyze(model, areas)
-    g, keep = penalty.constraint_rows(model, result, areas)
-    return result.weight, g[keep], analysis.get_analyzer(model).row_labels[keep.ravel()]
+    an = analysis.get_analyzer(model)
+    g, keep = an.constraint_rows(result, areas)
+    return result.weight, g[keep], an.row_labels[keep.ravel()]
 
 
 def write_convergence_csv(path, history):

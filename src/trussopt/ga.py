@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import analysis
-from .penalty import (ConstraintReport, evaluate_constraints,
-                      penalized_objective)
+from .penalty import evaluate_constraints, penalized_objective
 
 
 @dataclass
@@ -64,7 +63,7 @@ def evaluate_design(model, areas, penalty_params, iteration):
         return Individual(design=areas, weight=np.inf, violation_total=np.inf,
                           penalized=np.inf, evaluated_at_generation=iteration)
     report = evaluate_constraints(model, result, areas)
-    F = penalized_objective(result.weight, report, penalty_params, iteration)
+    F = penalized_objective(result.weight, report.total, penalty_params, iteration)
     return Individual(design=areas, weight=result.weight,
                       violation_total=report.total, penalized=F,
                       evaluated_at_generation=iteration)
@@ -72,9 +71,7 @@ def evaluate_design(model, areas, penalty_params, iteration):
 
 def reevaluate(ind, penalty_params, iteration):
     """Recompute F at a new penalty iteration without re-analyzing."""
-    report = ConstraintReport(violations=None, total=ind.violation_total,
-                                  feasible=(ind.violation_total == 0.0))
-    F = penalized_objective(ind.weight, report, penalty_params, iteration)
+    F = penalized_objective(ind.weight, ind.violation_total, penalty_params, iteration)
     return Individual(design=ind.design, weight=ind.weight,
                       violation_total=ind.violation_total, penalized=F,
                       evaluated_at_generation=iteration)

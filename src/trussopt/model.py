@@ -134,11 +134,6 @@ class TrussModel:
         gidx = self.group_index()
         return np.array([gidx[e.group] for e in self.elements], dtype=int)
 
-    def expand_areas(self, areas):
-        """Per-element areas for a design vector (one area per group)."""
-        areas = np.asarray(areas, dtype=float)
-        return areas[self.element_group_indices()]
-
     def clamp(self, areas):
         """Clamp a design vector into the per-group area bounds."""
         lo, hi = self.area_bounds()

@@ -45,52 +45,24 @@ def default_penalty_params(model, beta_exp=1.0):
     return PenaltyParams(alpha=alpha, beta_exp=beta_exp)
 
 
-def constraint_rows(model, result, areas=None):
-    """The normalized constraints g = quantity/limit - 1 of a design, as an
-    (n_cases, n_rows) array over the rows of the model's constraint table
-    (analysis.Analyzer), and the mask of the entries in force: a buckling
-    row is in force only under compression.
-
-    Stress: against the tension limit for positive stress, the compression
-    limit magnitude for negative. Buckling, for groups carrying a buckling
-    record, uses the area-dependent Euler bound -K*E*A/L^2, which requires
-    `areas` (group order). Displacement limits apply per node/dof/load case
-    as |u|/limit - 1.
-    """
-    an = analysis.get_analyzer(model)
-    q = np.array([np.concatenate((case.element_stresses, case.displacements.ravel()))
-                  for case in result.cases])[:, an.row_source]
-    lower = an.row_lower
-    keep = np.ones(q.shape, dtype=bool)
-    if an.buckling_row.size:
-        if areas is None:
-            raise ValueError("areas required for buckling constraints")
-        lower = lower.copy()
-        lower[an.buckling_row] = (an.buckling_coeff * np.asarray(areas, dtype=float)
-                                  [an.buckling_group] / an.buckling_L2)
-        keep[:, an.buckling_row] = q[:, an.buckling_row] < 0
-    # the limit takes the sign of q, so q/limit = |q|/|limit|
-    g = q / np.where(q >= 0, an.row_upper, lower) - 1.0
-    return g, keep
-
-
 def evaluate_constraints(model, result, areas=None):
     """Build a ConstraintReport from an AnalysisResult: one violation per
-    row of the constraint table in force, case by case."""
-    g, keep = constraint_rows(model, result, areas)
+    row in force of Analyzer.constraint_rows, case by case."""
+    g, keep = analysis.get_analyzer(model).constraint_rows(result, areas)
     violations = np.maximum(g[keep], 0.0)
     total = float(violations.sum())
     return ConstraintReport(violations=violations, total=total,
                             feasible=(total == 0.0))
 
 
-def penalty(report, params, iteration):
-    """p = alpha * iteration^beta_exp * sum(S_i); zero iff feasible."""
+def penalty(total, params, iteration):
+    """p = alpha * iteration^beta_exp * total, where total = sum(S_i)
+    is a ConstraintReport's total; zero iff feasible."""
     if iteration < 1:
         raise ValueError("iteration must be >= 1")
-    return params.alpha * iteration ** params.beta_exp * report.total
+    return params.alpha * iteration ** params.beta_exp * total
 
 
-def penalized_objective(weight, report, params, iteration):
+def penalized_objective(weight, total, params, iteration):
     """F = f + p; equals the raw weight exactly on feasible designs."""
-    return weight + penalty(report, params, iteration)
+    return weight + penalty(total, params, iteration)

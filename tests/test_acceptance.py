@@ -18,8 +18,7 @@ from trussopt.ga import GaParams, Individual, Population
 from trussopt.hybrid import HybridParams, compare_plain_ga, remove_victim_index, run
 from trussopt.io import ParseError, parse_model, serialize_model
 from trussopt.model import Material, MemberGroup, make_model
-from trussopt.penalty import (PenaltyParams, evaluate_constraints, penalty,
-                              ConstraintReport)
+from trussopt.penalty import PenaltyParams, evaluate_constraints, penalty
 
 PAPER_WEIGHTS = {
     "10bar-case1": 5058.66, "10bar-case2": 4675.43, "17bar": 2578.76,
@@ -170,11 +169,8 @@ def test_criterion_5_property_suites(small_model):
 
     # penalty law: zero iff feasible, monotone in iteration
     pp = PenaltyParams(alpha=2.0, beta_exp=1.3)
-    feas = ConstraintReport(violations=np.zeros(1), total=0.0, feasible=True)
-    infeas = ConstraintReport(violations=np.array([0.2]), total=0.2,
-                              feasible=False)
-    assert penalty(feas, pp, 9) == 0.0
-    vals = [penalty(infeas, pp, k) for k in range(1, 10)]
+    assert penalty(0.0, pp, 9) == 0.0
+    vals = [penalty(0.2, pp, k) for k in range(1, 10)]
     assert vals[0] > 0 and all(b > a for a, b in zip(vals, vals[1:]))
 
     # DNS contraction by exactly gamma

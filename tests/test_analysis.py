@@ -1,7 +1,11 @@
+import dataclasses
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from trussopt import analysis
+from trussopt import benchmarks, io
 from trussopt.analysis import (SingularStructure, analyze,
                                assemble_global_stiffness, structure_weight)
 from trussopt.model import (BucklingSpec, Material, MemberGroup, make_model)
@@ -115,3 +119,33 @@ def test_multiple_load_cases_solved_together():
     assert len(res.cases) == 2
     assert not np.allclose(res.cases[0].displacements,
                            res.cases[1].displacements)
+
+
+@pytest.mark.parametrize("name", ["22bar", "25bar", "72bar"])
+def test_load_cases_solved_together_match_single_case_analyses(name):
+    # one multi-case solve must give, bit for bit, what k single-case
+    # analyses give: the stress kernel sums each element's six products in
+    # the same order whatever the number of cases
+    model = benchmarks.get_builtin(name)
+    assert len(model.load_cases) > 1
+    lo, hi = model.area_bounds()
+    rng = np.random.default_rng(0)
+    for areas in [lo, hi, *rng.uniform(lo, hi, size=(5, len(lo)))]:
+        together = analyze(model, areas).cases
+        for lc, case in zip(model.load_cases, together):
+            alone = analyze(dataclasses.replace(model, load_cases=(lc,)),
+                            areas).cases[0]
+            assert case.displacements.tobytes() == alone.displacements.tobytes()
+            assert case.element_stresses.tobytes() == alone.element_stresses.tobytes()
+
+
+def test_cached_analyzer_does_not_keep_its_model_alive():
+    # the per-model analyzer cache is weak: a model that is no longer
+    # referenced is freed together with its analyzer
+    doc = io.serialize_model(benchmarks.get_builtin("10bar-case1"))
+    model = io.parse_model(doc)
+    analyze(model, model.area_bounds()[1])
+    ref = weakref.ref(model)
+    del model
+    gc.collect()
+    assert ref() is None

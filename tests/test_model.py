@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from trussopt.model import (Material, MemberGroup, ValidationError,
@@ -45,13 +44,6 @@ def test_area_bounds_and_clamp():
     assert lo.tolist() == [0.1] and hi.tolist() == [10.0]
     assert m.clamp([25.0]).tolist() == [10.0]
     assert m.clamp([0.0]).tolist() == [0.1]
-
-
-def test_expand_areas_maps_groups_to_elements():
-    m = make_model("g", [(0, 0), (100, 0), (200, 0)],
-                   [(0, 1, 0), (1, 2, 1)], _groups(2),
-                   MAT, [(0, "xy"), (2, "y"), (1, "y")], [{1: (5, 0)}])
-    np.testing.assert_array_equal(m.expand_areas([1.0, 2.0]), [1.0, 2.0])
 
 
 def test_zero_length_element_rejected():
