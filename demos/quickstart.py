@@ -34,7 +34,7 @@ print("  tip displacement (%.4f, %.4f) in"
       % tuple(result.cases[0].displacements[2, :2]))
 print("  member stresses", np.round(result.cases[0].element_stresses, 2), "ksi")
 
-report = evaluate_constraints(model, result, trial)
+report = evaluate_constraints(result)
 print("  feasible:", report.feasible,
       "(total violation %.4f)" % report.total)
 

@@ -5,8 +5,10 @@ scatter indices, the constraint table) are precomputed once per model in
 an Analyzer, so that repeated analyses of different designs only pay for
 the stiffness assembly and a dense Cholesky solve, which calls LAPACK
 potrf/potrs directly. An analysis yields one [stresses | displacements]
-row per load case, the columns the constraint table indexes. Everything
-is pure in the design vector, so analyses may run concurrently.
+row per load case, and the normalized margin of every constraint row
+read from it with the in-force mask; labels for those rows are built
+only on request. Everything is pure in the design vector, so analyses
+may run concurrently.
 """
 
 import weakref
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .model import DOF_NAMES, TrussModel
+from .model import DOF_NAMES, ModelError, TrussModel
 
 
 class AnalysisError(Exception):
@@ -47,6 +49,10 @@ class AnalysisResult:
     response: np.ndarray   # (n_cases, n_el + 3 * n_nodes), model case order:
                            # element stresses, then nodal displacements
     n_elements: int
+    margins: np.ndarray    # (n_cases, n_rows) g = quantity/limit - 1 over
+                           # the constraint table
+    in_force: np.ndarray   # (n_cases, n_rows) bool: a buckling row only
+                           # under compression
 
     @property
     def cases(self):
@@ -148,11 +154,8 @@ class Analyzer:
         self.buckling_group = self.group_of[buckling_el]
         self.buckling_coeff = -np.array(buckling_K) * self.E
         self.buckling_L2 = self.lengths[buckling_el] ** 2
-        # one label per (load case, row), in row-major order
-        self.row_labels = np.array(
-            [{"kind": kind, "case": lc.id, **at}
-             for lc in model.load_cases for kind, at in zip(kinds, where)],
-            dtype=object)
+        self._row_kind, self._row_where = kinds, where
+        self._case_ids = tuple(lc.id for lc in model.load_cases)
 
     def structure_weight(self, areas):
         """Total weight: density * sum over elements of area * length."""
@@ -184,7 +187,15 @@ class Analyzer:
         return c
 
     def analyze(self, areas):
-        """Weight and the response array of every load case."""
+        """Weight, the response array of every load case, and the
+        normalized constraints g = quantity/limit - 1 over the constraint
+        table with the mask of the entries in force.
+
+        Stress: against the tension limit for positive stress, the
+        compression limit magnitude for negative. Buckling: against the
+        area-dependent Euler bound -K*E*A/L^2, in force only under
+        compression. Displacement: |u|/limit - 1.
+        """
         areas = np.asarray(areas, dtype=float)
         U, _ = dpotrs(self.factorize(areas), self.F_free, lower=1)
         response = np.zeros(self._response_shape)
@@ -193,32 +204,28 @@ class Analyzer:
         elong = np.einsum("ij,ij->i", self._d6_stacked,
                           response[:, self._elem_cols].reshape(-1, 6))
         response[:, :n_el] = self.E * elong.reshape(-1, n_el) / self.lengths
-        return AnalysisResult(weight=self.structure_weight(areas),
-                              response=response, n_elements=n_el)
 
-    def constraint_rows(self, result, areas=None):
-        """The normalized constraints g = quantity/limit - 1 of an analysis,
-        an (n_cases, n_rows) array over the constraint table, and the mask
-        of the entries in force: a buckling row only under compression.
-
-        Stress: against the tension limit for positive stress, the
-        compression limit magnitude for negative. Buckling uses the
-        area-dependent Euler bound -K*E*A/L^2, which requires `areas`
-        (group order). Displacement: |u|/limit - 1.
-        """
-        q = result.response[:, self.row_source]
+        q = response[:, self.row_source]
         lower = self.row_lower
-        keep = np.ones(q.shape, dtype=bool)
+        in_force = np.ones(q.shape, dtype=bool)
         if self.buckling_row.size:
-            if areas is None:
-                raise ValueError("areas required for buckling constraints")
             lower = lower.copy()
-            lower[self.buckling_row] = (self.buckling_coeff * np.asarray(
-                areas, dtype=float)[self.buckling_group] / self.buckling_L2)
-            keep[:, self.buckling_row] = q[:, self.buckling_row] < 0
+            lower[self.buckling_row] = (self.buckling_coeff
+                                        * areas[self.buckling_group]
+                                        / self.buckling_L2)
+            in_force[:, self.buckling_row] = q[:, self.buckling_row] < 0
         # the limit takes the sign of q, so q/limit = |q|/|limit|
-        g = q / np.where(q >= 0, self.row_upper, lower) - 1.0
-        return g, keep
+        margins = q / np.where(q >= 0, self.row_upper, lower) - 1.0
+        return AnalysisResult(weight=self.structure_weight(areas),
+                              response=response, n_elements=n_el,
+                              margins=margins, in_force=in_force)
+
+    def constraint_labels(self, mask):
+        """The label of each true entry of an (n_cases, n_rows) mask, in
+        row-major order: kind, load case, and element or node/dof."""
+        return [{"kind": self._row_kind[r], "case": self._case_ids[c],
+                 **self._row_where[r]}
+                for c, r in zip(*np.nonzero(mask))]
 
 
 _analyzers = weakref.WeakKeyDictionary()
@@ -236,10 +243,15 @@ def structure_weight(model, areas):
     return get_analyzer(model).structure_weight(areas)
 
 
-def assemble_global_stiffness(model, areas):
-    return get_analyzer(model).assemble(areas)
-
-
 def analyze(model, areas) -> AnalysisResult:
     return get_analyzer(model).analyze(areas)
 
+
+def reject_mechanism(model):
+    """Raise ModelError if the model is a mechanism. A stiffness matrix
+    with positive areas is singular at every design or at none, so one
+    factorization at the upper area bounds decides it."""
+    try:
+        get_analyzer(model).factorize(model.area_bounds()[1])
+    except SingularStructure as exc:
+        raise ModelError(f"model {model.name} is a mechanism: {exc}") from None

@@ -99,7 +99,6 @@ def anneal(objective, start_design, start_value, radii, lo, hi, params, rng):
     best = center.copy()
     f_best = f_cur
     trace = []
-    recent = []  # best-value history for the stagnation criterion
     it = 0
     while it < max_iter and T >= t_min:
         it += 1
@@ -120,12 +119,9 @@ def anneal(objective, start_design, start_value, radii, lo, hi, params, rng):
         if it % n == 0:
             T *= params.cooling_alpha
         trace.append((it, T, float(np.linalg.norm(radii)), f_best))
-        recent.append(f_best)
-        if len(recent) > window:
-            recent.pop(0)
-            mean_improvement = (recent[0] - recent[-1]) / window
-            if mean_improvement < epsilon:
-                break
+        # stagnation: mean improvement of the best over the last window
+        if it > window and (trace[-window][3] - f_best) / window < epsilon:
+            break
     return best, f_best, trace
 
 

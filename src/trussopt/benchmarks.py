@@ -340,9 +340,7 @@ def cross_check(entry):
     of 0.005 corresponds to the 0.5% slack allowed for the 4-digit
     rounding of published area vectors.
     """
-    model = entry.model
-    areas = np.array(entry.reference_areas)
-    result = analysis.analyze(model, areas)
-    report = evaluate_constraints(model, result, areas)
+    result = analysis.analyze(entry.model, np.array(entry.reference_areas))
+    report = evaluate_constraints(result)
     worst = float(report.violations.max()) if report.violations.size else 0.0
     return result.weight, worst

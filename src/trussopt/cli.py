@@ -31,11 +31,7 @@ class _Parser(argparse.ArgumentParser):
 
 def load_model(spec):
     """Resolve --model: either 'builtin:NAME' or a JSON document path.
-
-    A mechanism is rejected here: a stiffness matrix with positive areas
-    is singular at every design or at none, so one factorization at the
-    upper area bounds decides it.
-    """
+    A mechanism is rejected here (analysis.reject_mechanism)."""
     if spec.startswith("builtin:"):
         name = spec[len("builtin:"):]
         try:
@@ -47,21 +43,17 @@ def load_model(spec):
     else:
         with open(spec) as fh:
             model = model_io.parse_model(fh.read())
-    try:
-        analysis.get_analyzer(model).factorize(model.area_bounds()[1])
-    except analysis.SingularStructure as exc:
-        raise ModelError(f"model {model.name} is a mechanism: {exc}") from None
+    analysis.reject_mechanism(model)
     return model
 
 
 def constraint_margins(model, areas):
-    """Weight, and the normalized margin and label of every constraint row
-    in force at a design (analysis.Analyzer.constraint_rows); a negative
-    margin is slack, a positive one is violated by that fraction."""
+    """Weight, the normalized margin of every constraint row in force at a
+    design (AnalysisResult.margins), and the in-force mask they were taken
+    from; a negative margin is slack, a positive one is violated by that
+    fraction."""
     result = analysis.analyze(model, areas)
-    an = analysis.get_analyzer(model)
-    g, keep = an.constraint_rows(result, areas)
-    return result.weight, g[keep], an.row_labels[keep.ravel()]
+    return result.weight, result.margins[result.in_force], result.in_force
 
 
 def write_convergence_csv(path, history):
@@ -88,7 +80,8 @@ def _hybrid_params(args):
 
 def _result_document(model, record):
     best = record.best
-    weight, margins, labels = constraint_margins(model, best.design)
+    weight, margins, in_force = constraint_margins(model, best.design)
+    labels = analysis.get_analyzer(model).constraint_labels(in_force)
     return {
         "model": model.name,
         "seed": record.seed,

@@ -62,7 +62,7 @@ def evaluate_design(model, areas, penalty_params, iteration):
     except analysis.AnalysisError:
         return Individual(design=areas, weight=np.inf, violation_total=np.inf,
                           penalized=np.inf, evaluated_at_generation=iteration)
-    report = evaluate_constraints(model, result, areas)
+    report = evaluate_constraints(result)
     F = penalized_objective(result.weight, report.total, penalty_params, iteration)
     return Individual(design=areas, weight=result.weight,
                       violation_total=report.total, penalized=F,

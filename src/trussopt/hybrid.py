@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import annealing, ga
+from . import analysis, annealing, ga
 
 
 @dataclass
@@ -56,14 +56,9 @@ def remove_victim_index(pop, rng=None):
     with the current best individual excluded."""
     rng = pop.rng if rng is None else rng
     fit = ga.fitness_values(pop.individuals)
-    inv = np.where(fit > 0, 1.0 / np.where(fit > 0, fit, 1.0), np.inf)
-    best = ga.best_index(pop)
-    inv[best] = 0.0
-    if not np.isfinite(inv).all():
-        weights = np.where(np.isfinite(inv), 0.0, 1.0)
-        weights[best] = 0.0
-    else:
-        weights = inv
+    # zero fitness means infinite inverse fitness: those alone are drawn
+    weights = (fit == 0).astype(float) if (fit == 0).any() else 1.0 / fit
+    weights[ga.best_index(pop)] = 0.0
     return int(rng.choice(len(pop.individuals), p=weights / weights.sum()))
 
 
@@ -83,9 +78,11 @@ def _track_best(current, current_feasible, candidate):
 
 def run(model, params, seed=None, max_evaluations=None):
     """Full H-SAGA run. `max_evaluations` optionally caps the analysis
-    budget (used for budget-matched comparisons)."""
+    budget (used for budget-matched comparisons). A mechanism raises
+    ModelError before any design is drawn."""
     from .penalty import default_penalty_params
     t0 = time.perf_counter()
+    analysis.reject_mechanism(model)
     ga_params = params.ga
     if seed is not None:
         ga_params = ga.GaParams(**{**ga_params.__dict__, "seed": seed})

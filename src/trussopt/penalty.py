@@ -1,8 +1,9 @@
-"""Constraint evaluation and the iteration-dependent penalty objective.
+"""Constraint violations and the iteration-dependent penalty objective.
 
-Constraints are normalized before aggregation (g = quantity/limit - 1),
-so stresses in ksi and displacements in inches contribute on the same
-scale and a single penalty factor is meaningful across both families.
+An analysis returns its constraints normalized (g = quantity/limit - 1,
+AnalysisResult.margins), so stresses in ksi and displacements in inches
+contribute on the same scale and a single penalty factor is meaningful
+across both families; this module clips and sums them.
 Area bounds are never penalized; designs are clamped to bounds before
 they are ever analyzed.
 """
@@ -45,11 +46,10 @@ def default_penalty_params(model, beta_exp=1.0):
     return PenaltyParams(alpha=alpha, beta_exp=beta_exp)
 
 
-def evaluate_constraints(model, result, areas=None):
+def evaluate_constraints(result):
     """Build a ConstraintReport from an AnalysisResult: one violation per
-    row in force of Analyzer.constraint_rows, case by case."""
-    g, keep = analysis.get_analyzer(model).constraint_rows(result, areas)
-    violations = np.maximum(g[keep], 0.0)
+    margin in force, case by case."""
+    violations = np.maximum(result.margins[result.in_force], 0.0)
     total = float(violations.sum())
     return ConstraintReport(violations=violations, total=total,
                             feasible=(total == 0.0))

@@ -114,7 +114,7 @@ def _best_of_seeds(name, target, seeds, generations=500):
     if best_design is not None:
         # independent re-verification of the reported optimum
         res = analysis.analyze(model, best_design)
-        report = evaluate_constraints(model, res, best_design)
+        report = evaluate_constraints(res)
         assert report.feasible
         assert res.weight == pytest.approx(best, rel=1e-12)
     return best

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from trussopt import benchmarks, io
-from trussopt.analysis import (SingularStructure, analyze,
-                               assemble_global_stiffness, structure_weight)
+from trussopt.analysis import (Analyzer, SingularStructure, analyze,
+                               structure_weight)
 from trussopt.model import (BucklingSpec, Material, MemberGroup, make_model)
 from trussopt.penalty import evaluate_constraints
 
@@ -67,7 +67,7 @@ def test_load_scaling_linearity(two_bar):
 
 
 def test_stiffness_matrix_symmetric_positive_definite(two_bar):
-    K = assemble_global_stiffness(two_bar, [2.0])
+    K = Analyzer(two_bar).assemble([2.0])
     np.testing.assert_allclose(K, K.T, rtol=1e-12)
     assert np.all(np.linalg.eigvalsh(K) > 0)
 
@@ -98,13 +98,13 @@ def test_buckling_stress_limit_formula():
             [MemberGroup(0, 0.1, 10.0, 25.0, 25.0, BucklingSpec(4.0))],
             Material(10000.0, 0.1), [(0, "xy"), (1, "y")], [{1: (-push, 0)}])
     m = bar(32.0)
-    report = evaluate_constraints(m, analyze(m, [2.0]), areas=[2.0])
+    report = evaluate_constraints(analyze(m, [2.0]))
     limit = -4.0 * 10000.0 * 2.0 / 100.0 ** 2
     np.testing.assert_allclose(report.violations, [0.0, -16.0 / limit - 1.0],
                                rtol=1e-12)
     # in tension the buckling row is not in force
     m = bar(-32.0)
-    report = evaluate_constraints(m, analyze(m, [2.0]), areas=[2.0])
+    report = evaluate_constraints(analyze(m, [2.0]))
     assert len(report.violations) == 1
 
 

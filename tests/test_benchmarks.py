@@ -99,6 +99,6 @@ def test_18bar_closed_form_optimum():
 
     exact = np.array([10.0, math.sqrt(468.75), 12.5, math.sqrt(50.0)])
     result = analysis.analyze(model, exact)
-    report = evaluate_constraints(model, result, exact)
+    report = evaluate_constraints(result)
     assert result.weight == pytest.approx(6430.53, abs=0.005)
     assert report.violations.max() <= 1e-12

@@ -30,6 +30,15 @@ def test_verify_prints_weight_and_feasibility(capsys):
     assert "feasible: yes" in out
 
 
+def test_verify_builds_no_constraint_labels(monkeypatch, capsys):
+    def refuse(self, mask):
+        raise AssertionError("verify built constraint labels")
+    monkeypatch.setattr(analysis.Analyzer, "constraint_labels", refuse)
+    assert main(["verify", "--model", "builtin:18bar",
+                 "--areas", "10,21.6506,12.5,7.0711"]) == 0
+    assert "feasible:" in capsys.readouterr().out
+
+
 def test_verify_wrong_vector_length(capsys):
     assert main(["verify", "--model", "builtin:10bar-case1",
                  "--areas", "1,2,3"]) == 1
@@ -110,8 +119,9 @@ def test_mechanism_model_is_model_error(tmp_path, capsys):
 def test_margins_are_the_penalty_rows(name):
     entry = benchmarks.builtin_models()[name]
     model, areas = entry.model, entry.reference_areas
-    _, margins, labels = constraint_margins(model, areas)
-    report = evaluate_constraints(model, analysis.analyze(model, areas), areas)
+    _, margins, in_force = constraint_margins(model, areas)
+    labels = analysis.get_analyzer(model).constraint_labels(in_force)
+    report = evaluate_constraints(analysis.analyze(model, areas))
     np.testing.assert_array_equal(np.maximum(margins, 0.0), report.violations)
     assert len(labels) == len(margins)
     kinds = {label["kind"] for label in labels}

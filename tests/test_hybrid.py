@@ -12,6 +12,7 @@ from trussopt import benchmarks
 from trussopt.ga import GaParams, Individual, Population
 from trussopt.hybrid import (HybridParams, RunRecord, compare_plain_ga,
                              remove_victim_index, run)
+from trussopt.model import Material, MemberGroup, ModelError, make_model
 
 
 def _pop_from_values(values, seed=0):
@@ -123,8 +124,20 @@ def test_best_is_reverified_feasible(small_model):
     rec = run(small_model, _small_params(generations=10), seed=2)
     assert rec.best_is_feasible
     res = analysis.analyze(small_model, rec.best.design)
-    report = evaluate_constraints(small_model, res, rec.best.design)
+    report = evaluate_constraints(res)
     assert report.feasible
+
+
+def test_mechanism_is_model_error_before_the_run():
+    # square frame without a diagonal: every design is singular, so the
+    # whole population would score infinite
+    mech = make_model(
+        "mech", [(0, 0), (100, 0), (100, 100), (0, 100)],
+        [(0, 1, 0), (1, 2, 0), (2, 3, 0), (3, 0, 0)],
+        [MemberGroup(0, 0.1, 10.0, 25.0, 25.0)],
+        Material(10000.0, 0.1), [(0, "xy"), (1, "y")], [{2: (5.0, 0.0)}])
+    with pytest.raises(ModelError, match="mechanism"):
+        run(mech, _small_params(generations=2), seed=0)
 
 
 def test_compare_requires_five_seeds(small_model):

@@ -15,14 +15,14 @@ def test_overstress_normalized_magnitude(single_bar):
         [MemberGroup(0, 0.1, 10.0, 25.0, 25.0)],
         Material(10000.0, 0.1), [(0, "xy"), (1, "y")], [{1: (30.0, 0.0)}])
     res = analysis.analyze(m, [1.0])
-    report = evaluate_constraints(m, res)
+    report = evaluate_constraints(res)
     assert report.total == pytest.approx(0.2, rel=1e-12)
     assert not report.feasible
 
 
 def test_feasible_design_has_zero_violations(single_bar):
     res = analysis.analyze(single_bar, [2.0])  # 5 ksi vs 30 ksi limit
-    report = evaluate_constraints(single_bar, res)
+    report = evaluate_constraints(res)
     assert report.feasible and report.total == 0.0
     assert np.all(report.violations == 0.0)
 
@@ -80,7 +80,7 @@ def test_displacement_constraint_enters_report():
         Material(10000.0, 0.1), [(0, "xy"), (1, "y")], [{1: (10.0, 0.0)}],
         [([1], "x", 0.05)])
     res = analysis.analyze(m, [1.0])  # u = 0.1 in > 0.05 in
-    report = evaluate_constraints(m, res)
+    report = evaluate_constraints(res)
     assert report.total == pytest.approx(1.0, rel=1e-10)
 
 
@@ -92,19 +92,9 @@ def test_buckling_constraint_uses_area_dependent_limit():
         Material(10000.0, 0.1), [(1, "xy"), (0, "y")], [{0: (10.0, 0.0)}])
     res = analysis.analyze(m, [1.0])
     assert res.cases[0].element_stresses[0] == pytest.approx(-10.0, rel=1e-10)
-    report = evaluate_constraints(m, res, areas=[1.0])
+    report = evaluate_constraints(res)
     # sigma/limit - 1 = (-10)/(-1*1e4*1/1e4) - 1 = 9
     assert report.total == pytest.approx(9.0, rel=1e-10)
-
-
-def test_buckling_needs_areas():
-    m = make_model(
-        "buck2", [(0, 0), (100, 0)], [(0, 1, 0)],
-        [MemberGroup(0, 0.1, 10.0, 100.0, 100.0, BucklingSpec(1.0))],
-        Material(10000.0, 0.1), [(1, "xy"), (0, "y")], [{0: (10.0, 0.0)}])
-    res = analysis.analyze(m, [1.0])
-    with pytest.raises(ValueError):
-        evaluate_constraints(m, res)
 
 
 def test_penalty_submodule_is_importable():
