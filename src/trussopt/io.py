@@ -8,8 +8,8 @@ without reading tracebacks.
 
 import json
 
-from .model import (BucklingSpec, DisplacementLimit, LoadCase, Material,
-                    MemberGroup, ModelError, ValidationError, make_model)
+from .model import (DOF_NAMES, BucklingSpec, LoadCase, Material, MemberGroup,
+                    ModelError, ValidationError, make_model)
 
 
 class ParseError(ModelError):
@@ -18,34 +18,92 @@ class ParseError(ModelError):
         super().__init__(f"{location}: {message}")
 
 
-def _require(obj, key, loc, kind=None):
-    if key not in obj:
-        raise ParseError(loc, f"missing required field '{key}'")
-    value = obj[key]
-    if kind is not None and not isinstance(value, kind):
-        raise ParseError(f"{loc}.{key}", f"expected {kind.__name__}")
+class _Bad(Exception):
+    """A checker's complaint about one field; _fields adds the location."""
+
+
+def _check(types, message, convert=None):
+    # json.loads makes values of exactly these types, and a bool is no int
+    def check(value):
+        if type(value) not in types:
+            raise _Bad(message)
+        return value if convert is None else convert(value)
+    return check
+
+
+_int = _check((int,), "expected int")
+_number = _check((int, float), "expected a number", float)
+# a null stress limit means unconstrained, stored as inf
+_number_or_null = _check((int, float, type(None)), "expected a number or null",
+                         lambda v: float("inf") if v is None else float(v))
+_str, _list, _object = (_check((t,), f"expected {t.__name__}")
+                        for t in (str, list, dict))
+
+
+def _dofs(value):
+    for d in _list(value):
+        if d not in DOF_NAMES:
+            raise _Bad(f"unknown dof '{d}'")
     return value
 
 
-def _number(obj, key, loc):
-    value = _require(obj, key, loc)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ParseError(f"{loc}.{key}", "expected a number")
-    return float(value)
+def _node_ids(value):
+    if any(type(n) is not int for n in _list(value)):
+        raise _Bad("expected a list of int node ids")
+    return value
 
 
-def _check_keys(obj, allowed, loc):
-    unknown = set(obj) - set(allowed)
-    if unknown:
-        raise ParseError(loc, f"unknown key '{sorted(unknown)[0]}'")
+def _limit_list(value):
+    # located at the key alone, not under "document"
+    if not isinstance(value, list):
+        raise ParseError("displacement_limits", "expected a list")
+    return value
 
 
-def _check_ids(items, loc):
-    ids = [it["id"] for it in items]
-    if sorted(ids) != list(range(len(ids))):
-        raise ValidationError([("BadNodeIds" if loc == "nodes" else "BadIds",
-                                f"{loc}: ids must be unique and contiguous from 0")])
-    return ids
+# one field table per object kind: JSON key -> checker, in reading order
+_DOCUMENT = {"name": _str, "material": _object, "nodes": _list,
+             "groups": _list, "elements": _list, "supports": _list,
+             "load_cases": _list, "displacement_limits": _limit_list}
+_MATERIAL = {"elastic_modulus": _number, "weight_density": _number}
+_NODE = {"id": _int, "x": _number, "y": _number, "z": _number}
+_GROUP = {"id": _int, "area_min": _number, "area_max": _number,
+          "stress_tension": _number_or_null,
+          "stress_compression": _number_or_null, "buckling_k": _number}
+_ELEMENT = {"id": _int, "a": _int, "b": _int, "group": _int}
+_SUPPORT = {"node": _int, "fixed": _dofs}
+_LOAD_CASE = {"id": _int, "loads": _list}
+_LOAD = {"node": _int, "fx": _number, "fy": _number, "fz": _number}
+_LIMIT = {"nodes": _node_ids, "dofs": _dofs, "limit": _number}
+
+
+def _fields(obj, loc, table, optional=()):
+    """Read one JSON object at `loc`: it must be an object with no key
+    outside `table` and every key not in `optional`. Returns each field's
+    checked value in table order, None for an absent optional field."""
+    if type(obj) is not dict:
+        raise ParseError(loc, "expected an object")
+    if not obj.keys() <= table.keys():
+        raise ParseError(loc, f"unknown key '{min(obj.keys() - table.keys())}'")
+    values = []
+    try:
+        for key, check in table.items():
+            if key in obj:
+                values.append(check(obj[key]))
+            elif key in optional:
+                values.append(None)
+            else:
+                raise ParseError(loc, f"missing required field '{key}'")
+    except _Bad as bad:
+        raise ParseError(f"{loc}.{key}", str(bad)) from None
+    return values
+
+
+def _by_id(rows, loc, code):
+    """The fields of rows [id, *fields] in id order; ids must be 0..n-1."""
+    by_id = {row[0]: row[1:] for row in rows}
+    if sorted(by_id) != list(range(len(rows))):
+        raise ValidationError([(code, f"{loc}: ids must be unique and contiguous from 0")])
+    return [by_id[i] for i in range(len(rows))]
 
 
 def parse_model(text):
@@ -56,119 +114,31 @@ def parse_model(text):
         raise ParseError(f"line {exc.lineno}", exc.msg) from None
     if not isinstance(doc, dict):
         raise ParseError("document", "top level must be an object")
-    _check_keys(doc, ("name", "material", "nodes", "supports", "groups",
-                      "elements", "load_cases", "displacement_limits"),
-                "document")
+    (name, mat, raw_nodes, raw_groups, raw_elements, raw_supports, raw_cases,
+     raw_limits) = _fields(doc, "document", _DOCUMENT,
+                           optional=("displacement_limits",))
 
-    name = _require(doc, "name", "document", str)
-    mat = _require(doc, "material", "document", dict)
-    _check_keys(mat, ("elastic_modulus", "weight_density"), "material")
-    material = Material(elastic_modulus=_number(mat, "elastic_modulus", "material"),
-                        weight_density=_number(mat, "weight_density", "material"))
-
-    raw_nodes = _require(doc, "nodes", "document", list)
-    for i, nd in enumerate(raw_nodes):
-        loc = f"nodes[{i}]"
-        if not isinstance(nd, dict):
-            raise ParseError(loc, "expected an object")
-        _check_keys(nd, ("id", "x", "y", "z"), loc)
-        _require(nd, "id", loc, int)
-        for k in ("x", "y", "z"):
-            _number(nd, k, loc)
-    _check_ids(raw_nodes, "nodes")
-    nodes = [None] * len(raw_nodes)
-    for nd in raw_nodes:
-        nodes[nd["id"]] = (float(nd["x"]), float(nd["y"]), float(nd["z"]))
-
-    raw_groups = _require(doc, "groups", "document", list)
-    groups = []
-    for i, g in enumerate(raw_groups):
-        loc = f"groups[{i}]"
-        if not isinstance(g, dict):
-            raise ParseError(loc, "expected an object")
-        _check_keys(g, ("id", "area_min", "area_max", "stress_tension",
-                        "stress_compression", "buckling_k"), loc)
-        buckling = None
-        if "buckling_k" in g:
-            buckling = BucklingSpec(K=_number(g, "buckling_k", loc))
-        # stress limits may be null, meaning unconstrained (stored as inf)
-        tension = _require(g, "stress_tension", loc)
-        compression = _require(g, "stress_compression", loc)
-        for k, v in (("stress_tension", tension), ("stress_compression", compression)):
-            if v is not None and (isinstance(v, bool) or not isinstance(v, (int, float))):
-                raise ParseError(f"{loc}.{k}", "expected a number or null")
-        groups.append(MemberGroup(
-            id=_require(g, "id", loc, int),
-            area_min=_number(g, "area_min", loc),
-            area_max=_number(g, "area_max", loc),
-            stress_tension_limit=float("inf") if tension is None else float(tension),
-            stress_compression_limit=float("inf") if compression is None else float(compression),
-            buckling=buckling))
-
-    raw_elements = _require(doc, "elements", "document", list)
-    for i, e in enumerate(raw_elements):
-        loc = f"elements[{i}]"
-        if not isinstance(e, dict):
-            raise ParseError(loc, "expected an object")
-        _check_keys(e, ("id", "a", "b", "group"), loc)
-        for k in ("id", "a", "b", "group"):
-            _require(e, k, loc, int)
-    _check_ids(raw_elements, "elements")
-    elements = [None] * len(raw_elements)
-    for e in raw_elements:
-        elements[e["id"]] = (e["a"], e["b"], e["group"])
-
-    raw_supports = _require(doc, "supports", "document", list)
-    supports = []
-    for i, s in enumerate(raw_supports):
-        loc = f"supports[{i}]"
-        if not isinstance(s, dict):
-            raise ParseError(loc, "expected an object")
-        _check_keys(s, ("node", "fixed"), loc)
-        fixed = _require(s, "fixed", loc, list)
-        for d in fixed:
-            if d not in ("x", "y", "z"):
-                raise ParseError(f"{loc}.fixed", f"unknown dof '{d}'")
-        supports.append((_require(s, "node", loc, int), fixed))
-
-    raw_cases = _require(doc, "load_cases", "document", list)
+    material = Material(*_fields(mat, "material", _MATERIAL))
+    nodes = _by_id([_fields(nd, f"nodes[{i}]", _NODE)
+                    for i, nd in enumerate(raw_nodes)], "nodes", "BadNodeIds")
+    groups = [MemberGroup(gid, area_min, area_max, tension, compression,
+                          None if k is None else BucklingSpec(K=k))
+              for gid, area_min, area_max, tension, compression, k in (
+                  _fields(g, f"groups[{i}]", _GROUP, optional=("buckling_k",))
+                  for i, g in enumerate(raw_groups))]
+    elements = _by_id([_fields(e, f"elements[{i}]", _ELEMENT)
+                       for i, e in enumerate(raw_elements)], "elements", "BadIds")
+    supports = [_fields(s, f"supports[{i}]", _SUPPORT)
+                for i, s in enumerate(raw_supports)]
     cases = []
     for i, lc in enumerate(raw_cases):
         loc = f"load_cases[{i}]"
-        if not isinstance(lc, dict):
-            raise ParseError(loc, "expected an object")
-        _check_keys(lc, ("id", "loads"), loc)
-        loads = []
-        for j, ld in enumerate(_require(lc, "loads", loc, list)):
-            lloc = f"{loc}.loads[{j}]"
-            if not isinstance(ld, dict):
-                raise ParseError(lloc, "expected an object")
-            _check_keys(ld, ("node", "fx", "fy", "fz"), lloc)
-            loads.append((_require(ld, "node", lloc, int),
-                          (_number(ld, "fx", lloc), _number(ld, "fy", lloc),
-                           _number(ld, "fz", lloc))))
-        loads.sort()
-        cases.append(LoadCase(id=_require(lc, "id", loc, int),
-                              point_loads=tuple(loads)))
-
-    raw_limits = doc.get("displacement_limits", [])
-    if not isinstance(raw_limits, list):
-        raise ParseError("displacement_limits", "expected a list")
-    limits = []
-    for i, dl in enumerate(raw_limits):
-        loc = f"displacement_limits[{i}]"
-        if not isinstance(dl, dict):
-            raise ParseError(loc, "expected an object")
-        _check_keys(dl, ("nodes", "dofs", "limit"), loc)
-        dofs = _require(dl, "dofs", loc, list)
-        for d in dofs:
-            if d not in ("x", "y", "z"):
-                raise ParseError(f"{loc}.dofs", f"unknown dof '{d}'")
-        limits.append(DisplacementLimit(
-            nodes=frozenset(_require(dl, "nodes", loc, list)),
-            dofs=frozenset(dofs),
-            limit=_number(dl, "limit", loc)))
-
+        case_id, raw_loads = _fields(lc, loc, _LOAD_CASE)
+        loads = sorted((node, tuple(force)) for node, *force in (
+            _fields(ld, f"{loc}.loads[{j}]", _LOAD) for j, ld in enumerate(raw_loads)))
+        cases.append(LoadCase(id=case_id, point_loads=tuple(loads)))
+    limits = [_fields(dl, f"displacement_limits[{i}]", _LIMIT)
+              for i, dl in enumerate(raw_limits or ())]
     return make_model(name, nodes, elements, groups, material, supports,
                       cases, limits)
 

@@ -2,10 +2,11 @@
 
 Units are imperial throughout: coordinates in inches, areas in in^2,
 forces in kips, stresses in ksi, weight density in lb/in^3, weight in lb.
-Planar models simply keep every z coordinate at zero and fix the z dofs
-through their supports (handled automatically by validation).
+Planar models simply keep every z coordinate and z load at zero;
+make_model then fixes the z dofs through their supports.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -175,19 +176,6 @@ def make_model(name, nodes, elements, groups, material, supports, load_cases,
     elem_objs = tuple(Element(id=i, node_a=int(a), node_b=int(b), group=int(g))
                       for i, (a, b, g) in enumerate(elements))
 
-    support_objs = []
-    support_nodes = {}
-    for node_id, dofs in supports:
-        dofs = frozenset(dofs)
-        support_nodes[int(node_id)] = dofs
-        support_objs.append(SupportSpec(node=int(node_id), fixed_dofs=dofs))
-    if planar:
-        # fix z everywhere; merge with any explicit support on the node
-        support_objs = []
-        for i in range(len(node_objs)):
-            dofs = support_nodes.get(i, frozenset()) | {"z"}
-            support_objs.append(SupportSpec(node=i, fixed_dofs=frozenset(dofs)))
-
     case_objs = []
     for i, lc in enumerate(load_cases):
         if isinstance(lc, LoadCase):
@@ -201,6 +189,22 @@ def make_model(name, nodes, elements, groups, material, supports, load_cases,
             loads.append((int(node_id), f))
         loads.sort()
         case_objs.append(LoadCase(id=i, point_loads=tuple(loads)))
+
+    planar = planar and all(f[2] == 0.0 for lc in case_objs
+                            for _, f in lc.point_loads)
+
+    support_objs = []
+    support_nodes = {}
+    for node_id, dofs in supports:
+        dofs = frozenset(dofs)
+        support_nodes[int(node_id)] = dofs
+        support_objs.append(SupportSpec(node=int(node_id), fixed_dofs=dofs))
+    if planar:
+        # fix z everywhere; merge with any explicit support on the node
+        support_objs = []
+        for i in range(len(node_objs)):
+            dofs = support_nodes.get(i, frozenset()) | {"z"}
+            support_objs.append(SupportSpec(node=i, fixed_dofs=frozenset(dofs)))
 
     dl_objs = []
     for dl in displacement_limits:
@@ -274,6 +278,9 @@ def validate(model):
     for s in model.supports:
         if not (0 <= s.node < n):
             problems.append(("DanglingReference", f"support references missing node {s.node}"))
+        bad = s.fixed_dofs.difference(DOF_NAMES)
+        if bad:
+            problems.append(("UnknownDof", f"support on node {s.node} fixes unknown dofs {sorted(bad, key=str)}"))
 
     for lc in model.load_cases:
         any_nonzero = False
@@ -282,6 +289,8 @@ def validate(model):
                 problems.append(("DanglingReference", f"load case {lc.id} references missing node {nid}"))
             if any(v != 0.0 for v in f):
                 any_nonzero = True
+            if not all(map(math.isfinite, f)):
+                problems.append(("NonFiniteLoad", f"load case {lc.id} has a non-finite load on node {nid}"))
         if not any_nonzero:
             problems.append(("NonPositiveLimit", f"load case {lc.id} has no nonzero load"))
 
@@ -291,6 +300,9 @@ def validate(model):
         for nid in dl.nodes:
             if not (0 <= nid < n):
                 problems.append(("DanglingReference", f"displacement limit references missing node {nid}"))
+        bad = dl.dofs.difference(DOF_NAMES)
+        if bad:
+            problems.append(("UnknownDof", f"displacement limit names unknown dofs {sorted(bad, key=str)}"))
 
     if not problems:
         if not np.any(~model.fixed_dof_mask()):

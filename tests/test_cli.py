@@ -115,6 +115,43 @@ def test_mechanism_model_is_model_error(tmp_path, capsys):
     assert "mechanism" in capsys.readouterr().err
 
 
+def _write_10bar(tmp_path, path, value):
+    doc = json.loads(serialize_model(benchmarks.get_builtin("10bar-case1")))
+    *head, last = path
+    obj = doc
+    for key in head:
+        obj = obj[key]
+    obj[last] = value
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps(doc))
+    return str(p)
+
+
+@pytest.mark.parametrize("nodes", [["a"], [1.5], [[1]]])
+def test_bad_displacement_limit_nodes_exit_2(tmp_path, capsys, nodes):
+    p = _write_10bar(tmp_path, ("displacement_limits", 0, "nodes"), nodes)
+    assert main(["verify", "--model", p, "--areas", AREAS_10BAR]) == 2
+    assert "displacement_limits[0].nodes" in capsys.readouterr().err
+
+
+def test_non_finite_load_exit_2(tmp_path, capsys):
+    p = _write_10bar(tmp_path, ("load_cases", 0, "loads", 0, "fy"),
+                     float("nan"))
+    assert main(["verify", "--model", p, "--areas", AREAS_10BAR]) == 2
+    assert "NonFiniteLoad" in capsys.readouterr().err
+
+
+def test_z_load_on_a_flat_truss_exit_2(tmp_path, capsys):
+    bar = make_model("bar", [(0, 0), (100, 0)], [(0, 1, 0)],
+                     [MemberGroup(0, 0.5, 5.0, 30.0, 30.0)],
+                     Material(10000.0, 0.1), [(0, "xy"), (1, "y")],
+                     [{1: (10.0, 0.0, 7.0)}])
+    p = tmp_path / "bar.json"
+    p.write_text(serialize_model(bar))
+    assert main(["verify", "--model", str(p), "--areas", "1"]) == 2
+    assert "mechanism" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("name", benchmarks.builtin_names())
 def test_margins_are_the_penalty_rows(name):
     entry = benchmarks.builtin_models()[name]

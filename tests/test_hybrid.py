@@ -140,6 +140,17 @@ def test_mechanism_is_model_error_before_the_run():
         run(mech, _small_params(generations=2), seed=0)
 
 
+def test_z_load_on_a_flat_truss_is_a_mechanism():
+    # a z load makes the model 3-D, so no z support is added and the bar
+    # cannot carry it
+    bar = make_model("bar", [(0, 0), (100, 0)], [(0, 1, 0)],
+                     [MemberGroup(0, 0.5, 5.0, 30.0, 30.0)],
+                     Material(10000.0, 0.1), [(0, "xy"), (1, "y")],
+                     [{1: (10.0, 0.0, 7.0)}])
+    with pytest.raises(ModelError, match="mechanism"):
+        run(bar, _small_params(generations=2), seed=0)
+
+
 def test_compare_requires_five_seeds(small_model):
     with pytest.raises(ValueError):
         compare_plain_ga(small_model, _small_params(), seeds=[1, 2, 3])

@@ -92,3 +92,137 @@ def test_parse_from_disk(tmp_path):
     p.write_text(serialize_model(benchmarks.get_builtin("72bar")))
     model = parse_model(p.read_text())
     assert model.n_elements == 72
+
+
+_DELETE = object()
+
+
+def _faulty(path, value):
+    """The 10bar-case1 document with the field at `path` set to `value`
+    (or deleted); an empty path replaces the whole document."""
+    if not path:
+        return value
+    doc = _doc()
+    *head, last = path
+    obj = doc
+    for key in head:
+        obj = obj[key]
+    if value is _DELETE:
+        del obj[last]
+    else:
+        obj[last] = value
+    return doc
+
+
+LOAD = ("load_cases", 0, "loads", 0)
+LIMIT = ("displacement_limits", 0)
+
+# (object kind, path, value, location, message): for each kind, the value
+# is not an object, has an unknown key, lacks a required field, and holds
+# a field of the wrong type
+FAULTS = [
+    ("document", (), [1, 2, 3], "document", "top level must be an object"),
+    ("document", ("unexpected",), 1, "document", "unknown key 'unexpected'"),
+    ("document", ("material",), _DELETE, "document",
+     "missing required field 'material'"),
+    ("document", ("name",), 5, "document.name", "expected str"),
+    ("document", ("displacement_limits",), {}, "displacement_limits",
+     "expected a list"),
+    ("material", ("material",), [], "document.material", "expected dict"),
+    ("material", ("material", "poisson"), 0.3, "material",
+     "unknown key 'poisson'"),
+    ("material", ("material", "weight_density"), _DELETE, "material",
+     "missing required field 'weight_density'"),
+    ("material", ("material", "elastic_modulus"), "stiff",
+     "material.elastic_modulus", "expected a number"),
+    ("node", ("nodes", 3), 5, "nodes[3]", "expected an object"),
+    ("node", ("nodes", 3, "weight"), 5, "nodes[3]", "unknown key 'weight'"),
+    ("node", ("nodes", 3, "y"), _DELETE, "nodes[3]",
+     "missing required field 'y'"),
+    ("node", ("nodes", 3, "x"), "left", "nodes[3].x", "expected a number"),
+    ("group", ("groups", 2), "g", "groups[2]", "expected an object"),
+    ("group", ("groups", 2, "color"), "red", "groups[2]",
+     "unknown key 'color'"),
+    ("group", ("groups", 2, "stress_compression"), _DELETE, "groups[2]",
+     "missing required field 'stress_compression'"),
+    ("group", ("groups", 2, "stress_tension"), "high",
+     "groups[2].stress_tension", "expected a number or null"),
+    ("group", ("groups", 2, "buckling_k"), None, "groups[2].buckling_k",
+     "expected a number"),
+    ("element", ("elements", 4), [0, 1], "elements[4]", "expected an object"),
+    ("element", ("elements", 4, "length"), 1, "elements[4]",
+     "unknown key 'length'"),
+    ("element", ("elements", 4, "group"), _DELETE, "elements[4]",
+     "missing required field 'group'"),
+    ("element", ("elements", 4, "group"), "two", "elements[4].group",
+     "expected int"),
+    ("support", ("supports", 1), "pin", "supports[1]", "expected an object"),
+    ("support", ("supports", 1, "rotation"), 0, "supports[1]",
+     "unknown key 'rotation'"),
+    ("support", ("supports", 1, "fixed"), _DELETE, "supports[1]",
+     "missing required field 'fixed'"),
+    ("support", ("supports", 1, "fixed"), "xy", "supports[1].fixed",
+     "expected list"),
+    ("load case", ("load_cases", 0), 1, "load_cases[0]", "expected an object"),
+    ("load case", ("load_cases", 0, "name"), "wind", "load_cases[0]",
+     "unknown key 'name'"),
+    ("load case", ("load_cases", 0, "loads"), _DELETE, "load_cases[0]",
+     "missing required field 'loads'"),
+    ("load case", ("load_cases", 0, "id"), "first", "load_cases[0].id",
+     "expected int"),
+    ("load", LOAD, None, "load_cases[0].loads[0]", "expected an object"),
+    ("load", LOAD + ("mz",), 0, "load_cases[0].loads[0]", "unknown key 'mz'"),
+    ("load", LOAD + ("fz",), _DELETE, "load_cases[0].loads[0]",
+     "missing required field 'fz'"),
+    ("load", LOAD + ("fx",), "big", "load_cases[0].loads[0].fx",
+     "expected a number"),
+    ("displacement limit", LIMIT, 2.0, "displacement_limits[0]",
+     "expected an object"),
+    ("displacement limit", LIMIT + ("case",), 0, "displacement_limits[0]",
+     "unknown key 'case'"),
+    ("displacement limit", LIMIT + ("limit",), _DELETE,
+     "displacement_limits[0]", "missing required field 'limit'"),
+    ("displacement limit", LIMIT + ("dofs",), ["x", "w"],
+     "displacement_limits[0].dofs", "unknown dof 'w'"),
+]
+
+
+@pytest.mark.parametrize("kind, path, value, location, message", FAULTS,
+                         ids=[f"{f[0]}-{f[3]}-{f[4]}" for f in FAULTS])
+def test_fault_is_located(kind, path, value, location, message):
+    with pytest.raises(ParseError) as exc:
+        parse_model(json.dumps(_faulty(path, value)))
+    assert type(exc.value) is ParseError
+    assert exc.value.location == location
+    assert str(exc.value) == f"{location}: {message}"
+
+
+@pytest.mark.parametrize("path, value, location", [
+    (("elements", 4, "group"), True, "elements[4].group"),
+    (("nodes", 2, "id"), False, "nodes[2].id"),
+    (LOAD + ("node",), True, "load_cases[0].loads[0].node"),
+])
+def test_boolean_is_not_an_int(path, value, location):
+    with pytest.raises(ParseError) as exc:
+        parse_model(json.dumps(_faulty(path, value)))
+    assert str(exc.value) == f"{location}: expected int"
+
+
+@pytest.mark.parametrize("nodes", [["a"], [1.5], [[1]], [True], 3])
+def test_displacement_limit_nodes_are_node_ids(nodes):
+    with pytest.raises(ParseError) as exc:
+        parse_model(json.dumps(_faulty(LIMIT + ("nodes",), nodes)))
+    assert exc.value.location == "displacement_limits[0].nodes"
+
+
+@pytest.mark.parametrize("path, value, code", [
+    (("nodes", 1, "id"), 0, "BadNodeIds"),
+    (("nodes", 5, "id"), 6, "BadNodeIds"),
+    (("elements", 0, "id"), 9, "BadIds"),
+    (("elements", 3, "id"), -1, "BadIds"),
+])
+def test_ids_must_be_contiguous(path, value, code):
+    with pytest.raises(ValidationError) as exc:
+        parse_model(json.dumps(_faulty(path, value)))
+    assert exc.value.problems == [
+        (code, f"{path[0]}: ids must be unique and contiguous from 0")]

@@ -94,3 +94,31 @@ def test_all_problems_collected_not_just_first():
 def test_validate_returns_model_unchanged():
     m = _make()
     assert validate(m) is m
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_load_rejected(bad):
+    with pytest.raises(ValidationError) as exc:
+        _make(loads=({1: (10, 0)}, {1: (10, bad)}))
+    assert exc.value.problems == [
+        ("NonFiniteLoad", "load case 1 has a non-finite load on node 1")]
+
+
+def test_unknown_support_dof_rejected():
+    with pytest.raises(ValidationError) as exc:
+        _make(supports=[(0, "xw"), (1, "y")])
+    assert exc.value.problems == [
+        ("UnknownDof", "support on node 0 fixes unknown dofs ['w']")]
+
+
+def test_unknown_displacement_limit_dof_rejected():
+    with pytest.raises(ValidationError) as exc:
+        _make(displacement_limits=[([1], ("x", "q"), 1.0)])
+    assert exc.value.problems == [
+        ("UnknownDof", "displacement limit names unknown dofs ['q']")]
+
+
+def test_z_load_makes_a_flat_model_3d():
+    m = _make(loads=({1: (10, 0, 7)},))
+    assert [(s.node, s.fixed_dofs) for s in m.supports] == [
+        (0, frozenset("xy")), (1, frozenset("y"))]
