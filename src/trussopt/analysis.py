@@ -7,8 +7,10 @@ the stiffness assembly and a dense Cholesky solve, which calls LAPACK
 potrf/potrs directly. An analysis yields one [stresses | displacements]
 row per load case, and the normalized margin of every constraint row
 read from it with the in-force mask; labels for those rows are built
-only on request. Everything is pure in the design vector, so analyses
-may run concurrently.
+only on request. The optimizer's evaluation (`Analyzer.evaluate`) goes
+from areas to (weight, violation total) through the same margins
+without building a result object. Everything is pure in the design
+vector, so analyses may run concurrently.
 """
 
 import weakref
@@ -80,6 +82,7 @@ class Analyzer:
         n_el = len(self.lengths)
         dirs = delta / self.lengths[:, None]               # (n_el, 3) unit vectors
         self.group_of = model.element_group_indices()
+        self.area_lo, self.area_hi = model.area_bounds()  # evaluate clamps
 
         # signed 6-vector d per element: displacement u6 . d = axial elongation
         d6 = np.hstack([-dirs, dirs])                      # (n_el, 6)
@@ -107,12 +110,18 @@ class Analyzer:
         self.E = model.material.elastic_modulus
         self.density = model.material.weight_density
 
-        # load vectors, reduced to free dofs, one column per load case
+        # load vectors, reduced to free dofs, one column per load case;
+        # add.at accumulates repeated (dof, case) entries in load order
         n_cases = len(model.load_cases)
+        case = np.array([j for j, lc in enumerate(model.load_cases)
+                         for _ in lc.point_loads], dtype=int)
+        node = np.array([nid for lc in model.load_cases
+                         for nid, _ in lc.point_loads], dtype=int)
+        forces = np.array([f for lc in model.load_cases
+                           for _, f in lc.point_loads], dtype=float)
         F = np.zeros((ndof, n_cases))
-        for j, lc in enumerate(model.load_cases):
-            for nid, f in lc.point_loads:
-                F[3 * nid:3 * nid + 3, j] += f
+        np.add.at(F, (3 * node[:, None] + np.arange(3), case[:, None]),
+                  forces.reshape(-1, 3))
         self.F_free = F[self.free]
 
         # response columns of the free dofs and of each element's dofs; the
@@ -160,7 +169,7 @@ class Analyzer:
     def structure_weight(self, areas):
         """Total weight: density * sum over elements of area * length."""
         areas = np.asarray(areas, dtype=float)
-        return float(self.density * np.sum(areas[self.group_of] * self.lengths))
+        return float(self.density * (areas[self.group_of] * self.lengths).sum())
 
     def assemble(self, areas):
         """Reduced (free-dof) global stiffness matrix for a design vector."""
@@ -175,28 +184,47 @@ class Analyzer:
     def factorize(self, areas):
         """Lower Cholesky factor of the reduced stiffness at a design."""
         K = self.assemble(areas)
-        diag = np.diag(K)
-        if diag.size == 0 or np.max(diag) <= 0:
+        diag = K.diagonal()
+        if diag.size == 0 or diag.max() <= 0:
             raise SingularStructure("stiffness matrix has no positive diagonal")
         c, info = dpotrf(K, lower=1, clean=0)
         if info > 0:
             raise SingularStructure("Cholesky factorization failed")
-        pivots = np.diag(c) ** 2
-        if np.min(pivots) < SINGULARITY_RTOL * np.max(diag):
+        pivots = c.diagonal() ** 2
+        if pivots.min() < SINGULARITY_RTOL * diag.max():
             raise SingularStructure("pivot below singularity tolerance")
         return c
 
     def analyze(self, areas):
         """Weight, the response array of every load case, and the
         normalized constraints g = quantity/limit - 1 over the constraint
-        table with the mask of the entries in force.
+        table with the mask of the entries in force (see `_margins`)."""
+        areas = np.asarray(areas, dtype=float)
+        response, margins, in_force = self._margins(areas)
+        return AnalysisResult(weight=self.structure_weight(areas),
+                              response=response, n_elements=len(self.lengths),
+                              margins=margins, in_force=in_force)
+
+    def evaluate(self, areas):
+        """The optimizer's evaluation: (areas clamped to their bounds,
+        weight, total violation). The total sums max(g, 0) over the
+        margins in force, as `penalty.evaluate_constraints` does over an
+        `analyze` result, bit for bit. Raises SingularStructure where
+        `factorize` does."""
+        areas = np.clip(np.asarray(areas, dtype=float), self.area_lo, self.area_hi)
+        _, margins, in_force = self._margins(areas)
+        total = float(np.maximum(margins[in_force], 0.0).sum())
+        return areas, self.structure_weight(areas), total
+
+    def _margins(self, areas):
+        """Solve every load case at a float design; return the response
+        array, the margins g and their in-force mask.
 
         Stress: against the tension limit for positive stress, the
         compression limit magnitude for negative. Buckling: against the
         area-dependent Euler bound -K*E*A/L^2, in force only under
         compression. Displacement: |u|/limit - 1.
         """
-        areas = np.asarray(areas, dtype=float)
         U, _ = dpotrs(self.factorize(areas), self.F_free, lower=1)
         response = np.zeros(self._response_shape)
         response[:, self._free_cols] = U.T
@@ -216,9 +244,7 @@ class Analyzer:
             in_force[:, self.buckling_row] = q[:, self.buckling_row] < 0
         # the limit takes the sign of q, so q/limit = |q|/|limit|
         margins = q / np.where(q >= 0, self.row_upper, lower) - 1.0
-        return AnalysisResult(weight=self.structure_weight(areas),
-                              response=response, n_elements=n_el,
-                              margins=margins, in_force=in_force)
+        return response, margins, in_force
 
     def constraint_labels(self, mask):
         """The label of each true entry of an (n_cases, n_rows) mask, in

@@ -73,7 +73,7 @@ def sample_neighbor(center, radii, rng, lo, hi):
     center = np.asarray(center, dtype=float)
     if center.shape != np.shape(radii):
         raise DimensionMismatch("center and radii dimensions differ")
-    draw = rng.uniform(center - radii, center + radii)
+    draw = ga.uniform_box(rng, center - radii, center + radii)
     return np.clip(draw, lo, hi)
 
 
@@ -93,6 +93,7 @@ def anneal(objective, start_design, start_value, radii, lo, hi, params, rng):
     epsilon = params.epsilon_fraction * abs(start_value)
 
     radii = np.array(radii, dtype=float)
+    radii_norm = float(np.linalg.norm(radii))
     center = np.array(start_design, dtype=float)
     since_improvement = 0
     f_cur = start_value
@@ -104,7 +105,7 @@ def anneal(objective, start_design, start_value, radii, lo, hi, params, rng):
         it += 1
         cand = sample_neighbor(center, radii, rng, lo, hi)
         f_cand = objective(cand)
-        if rng.uniform() < acceptance_probability(f_cur, f_cand, T):
+        if rng.random() < acceptance_probability(f_cur, f_cand, T):
             center = cand
             f_cur = f_cand
         if f_cur < f_best:
@@ -115,10 +116,11 @@ def anneal(objective, start_design, start_value, radii, lo, hi, params, rng):
             since_improvement += 1
             if since_improvement >= beta:
                 radii = radii / params.radius_gamma
+                radii_norm = float(np.linalg.norm(radii))
                 since_improvement = 0
         if it % n == 0:
             T *= params.cooling_alpha
-        trace.append((it, T, float(np.linalg.norm(radii)), f_best))
+        trace.append((it, T, radii_norm, f_best))
         # stagnation: mean improvement of the best over the last window
         if it > window and (trace[-window][3] - f_best) / window < epsilon:
             break

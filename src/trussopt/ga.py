@@ -15,7 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import analysis
-from .penalty import evaluate_constraints, penalized_objective
+# evaluate_constraints is not called here since evaluations go through
+# Analyzer.evaluate; bench/tracing.py still wraps it as ga.evaluate_constraints
+from .penalty import evaluate_constraints, penalized_objective  # noqa: F401
 
 
 @dataclass
@@ -55,18 +57,17 @@ class Population:
 
 
 def evaluate_design(model, areas, penalty_params, iteration):
-    """Analyze one clamped design; analysis failure maps to +inf objective."""
-    areas = model.clamp(areas)
+    """Analyze one clamped design (Analyzer.evaluate); analysis failure
+    maps to +inf objective."""
     try:
-        result = analysis.analyze(model, areas)
+        areas, weight, total = analysis.get_analyzer(model).evaluate(areas)
     except analysis.AnalysisError:
-        return Individual(design=areas, weight=np.inf, violation_total=np.inf,
-                          penalized=np.inf, evaluated_at_generation=iteration)
-    report = evaluate_constraints(result)
-    F = penalized_objective(result.weight, report.total, penalty_params, iteration)
-    return Individual(design=areas, weight=result.weight,
-                      violation_total=report.total, penalized=F,
-                      evaluated_at_generation=iteration)
+        return Individual(design=model.clamp(areas), weight=np.inf,
+                          violation_total=np.inf, penalized=np.inf,
+                          evaluated_at_generation=iteration)
+    F = penalized_objective(weight, total, penalty_params, iteration)
+    return Individual(design=areas, weight=weight, violation_total=total,
+                      penalized=F, evaluated_at_generation=iteration)
 
 
 def reevaluate(ind, penalty_params, iteration):
@@ -77,12 +78,21 @@ def reevaluate(ind, penalty_params, iteration):
                       evaluated_at_generation=iteration)
 
 
+def uniform_box(rng, low, high):
+    """One uniform draw in the box [low, high) of 1-D float arrays:
+    `rng.uniform(low, high)` bit for bit, drawing the same numbers from
+    the stream, since uniform computes low + (high - low) * random()
+    too. Bounds must be finite (validate rejects non-finite area
+    bounds): where uniform raises OverflowError, this returns inf or nan."""
+    return low + (high - low) * rng.random(len(low))
+
+
 def init_population(model, ga_params, penalty_params):
     rng = np.random.default_rng(ga_params.seed)
     lo, hi = model.area_bounds()
     individuals = []
     for _ in range(ga_params.population_size):
-        design = rng.uniform(lo, hi)
+        design = uniform_box(rng, lo, hi)
         individuals.append(evaluate_design(model, design, penalty_params, 1))
     return Population(individuals=individuals, generation=0, rng=rng)
 
@@ -108,23 +118,25 @@ def select_mating_pool(pop, rng=None):
 def crossover(parent_a, parent_b, rng, lo, hi, crossover_rate, extension=0.5):
     """Blend crossover: children uniform on the parent interval extended
     by `extension` of its width each side, clamped to bounds."""
-    if rng.uniform() >= crossover_rate:
+    if rng.random() >= crossover_rate:
         return parent_a.copy(), parent_b.copy()
     low = np.minimum(parent_a, parent_b)
     high = np.maximum(parent_a, parent_b)
     span = high - low
     a = low - extension * span
     b = high + extension * span
-    c1 = rng.uniform(a, b)
-    c2 = rng.uniform(a, b)
+    c1 = uniform_box(rng, a, b)
+    c2 = uniform_box(rng, a, b)
     return np.clip(c1, lo, hi), np.clip(c2, lo, hi)
 
 
 def mutate(design, rng, lo, hi, mutation_rate, sigma_fraction):
-    """Per-variable Gaussian perturbation with probability mutation_rate."""
+    """Per-variable Gaussian perturbation with probability mutation_rate.
+    random() and standard_normal() are uniform(0, 1) and normal(0, 1)
+    bit for bit, without their loc/scale arithmetic."""
     out = design.copy()
-    mask = rng.uniform(size=len(out)) < mutation_rate
-    noise = rng.normal(0.0, 1.0, size=len(out)) * sigma_fraction * (hi - lo)
+    mask = rng.random(len(out)) < mutation_rate
+    noise = rng.standard_normal(len(out)) * sigma_fraction * (hi - lo)
     out[mask] += noise[mask]
     return np.clip(out, lo, hi)
 

@@ -263,7 +263,9 @@ def validate(model):
                 problems.append(("ZeroLengthElement", f"element {e.id} has zero length"))
 
     for g in model.groups:
-        if not (0 < g.area_min <= g.area_max):
+        if not all(map(math.isfinite, (g.area_min, g.area_max))):
+            problems.append(("NonFiniteBound", f"group {g.id} has a non-finite area bound"))
+        elif not (0 < g.area_min <= g.area_max):
             problems.append(("NonPositiveLimit", f"group {g.id} needs 0 < area_min <= area_max"))
         if not (g.stress_tension_limit > 0 and g.stress_compression_limit > 0):
             problems.append(("NonPositiveLimit", f"group {g.id} stress limits must be positive"))

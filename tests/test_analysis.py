@@ -8,7 +8,8 @@ import pytest
 from trussopt import benchmarks, io
 from trussopt.analysis import (Analyzer, SingularStructure, analyze,
                                structure_weight)
-from trussopt.model import (BucklingSpec, Material, MemberGroup, make_model)
+from trussopt.model import (BucklingSpec, LoadCase, Material, MemberGroup,
+                            make_model)
 from trussopt.penalty import evaluate_constraints
 
 
@@ -149,3 +150,81 @@ def test_cached_analyzer_does_not_keep_its_model_alive():
     del model
     gc.collect()
     assert ref() is None
+
+
+def _outcome(fn, *args):
+    """The SingularStructure message a call raises, or None."""
+    try:
+        fn(*args)
+    except SingularStructure as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("name", benchmarks.builtin_names())
+def test_evaluate_is_analyze_plus_evaluate_constraints(name):
+    # the optimizer's fused evaluation must give, bit for bit, the clamped
+    # design, weight and violation total of the CLI's analysis path
+    model = benchmarks.get_builtin(name)
+    an = Analyzer(model)
+    lo, hi = model.area_bounds()
+    margin = 0.2 * (hi - lo)
+    rng = np.random.default_rng(8)
+    designs = [*rng.uniform(lo, hi, size=(4, len(lo))),
+               *rng.uniform(lo - margin, hi + margin, size=(4, len(lo)))]
+    assert any(np.any((d < lo) | (d > hi)) for d in designs)
+    for areas in designs:
+        clamped, weight, total = an.evaluate(areas)
+        result = an.analyze(model.clamp(areas))
+        assert clamped.tobytes() == model.clamp(areas).tobytes()
+        assert weight == result.weight
+        assert total == evaluate_constraints(result).total
+
+
+def test_evaluate_raises_exactly_where_factorize_does():
+    # a square frame without a diagonal is a mechanism at every design; a
+    # pitched pair of bars goes numerically singular when one bar is some
+    # 1e20 times stiffer than the other, and is sound otherwise
+    mech = make_model(
+        "mech", [(0, 0), (100, 0), (100, 100), (0, 100)],
+        [(0, 1, 0), (1, 2, 0), (2, 3, 0), (3, 0, 0)],
+        [MemberGroup(0, 0.1, 10.0, 25.0, 25.0)],
+        Material(10000.0, 0.1), [(0, "xy"), (1, "y")], [{2: (5.0, 0.0)}])
+    pair = make_model(
+        "pair", [(0, 0), (80, 60), (160, 0)], [(0, 1, 0), (1, 2, 1)],
+        [MemberGroup(0, 1e-20, 5.0, 30.0, 30.0),
+         MemberGroup(1, 1e-20, 5.0, 30.0, 30.0)],
+        Material(10000.0, 0.1), [(0, "xy"), (2, "xy")], [{1: (0.0, -12.0)}])
+    cases = [(mech, [1.0]), (mech, [50.0]), (pair, [1.0, 2.0]),
+             (pair, [1e-20, 5.0]), (pair, [-1.0, 9.0]), (pair, [5.0, 5.0])]
+    outcomes = []
+    for model, areas in cases:
+        an = Analyzer(model)
+        expected = _outcome(an.factorize, model.clamp(areas))
+        assert _outcome(an.evaluate, areas) == expected
+        outcomes.append(expected is None)
+    assert outcomes == [False, False, True, False, False, True]
+
+
+def _load_vectors_by_loop(model):
+    # one slice-add per point load, in load order: the reference for the
+    # vectorized accumulation in Analyzer.__init__
+    F = np.zeros((3 * model.n_nodes, len(model.load_cases)))
+    for j, lc in enumerate(model.load_cases):
+        for nid, f in lc.point_loads:
+            F[3 * nid:3 * nid + 3, j] += f
+    return F[~model.fixed_dof_mask()]
+
+
+def test_load_vectors_match_per_load_accumulation():
+    repeated = make_model(
+        "repeated", [(0, 0), (100, 0)], [(0, 1, 0)],
+        [MemberGroup(0, 0.5, 5.0, 30.0, 30.0)], Material(10000.0, 0.1),
+        [(0, "xy")],
+        [LoadCase(0, ((1, (0.1, 0.2, 0.0)), (1, (0.7, 1e16, 0.0)),
+                      (1, (0.3, -1e16, 0.0)))),
+         LoadCase(1, ((1, (1.0, 2.0, 0.0)),))])
+    models = [e.model for e in benchmarks.builtin_models().values()]
+    for model in [*models, repeated]:
+        assert (Analyzer(model).F_free.tobytes()
+                == _load_vectors_by_loop(model).tobytes())

@@ -141,6 +141,17 @@ def test_non_finite_load_exit_2(tmp_path, capsys):
     assert "NonFiniteLoad" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_non_finite_area_bound_exit_2(tmp_path, capsys, command):
+    p = _write_10bar(tmp_path, ("groups", 0, "area_max"), float("inf"))
+    argv = (["run", "--model", p, "--generations", "2", "--population", "10",
+             "--out", str(tmp_path / "out")] if command == "run" else
+            ["verify", "--model", p, "--areas", AREAS_10BAR])
+    assert main(argv) == 2
+    assert "NonFiniteBound: group 0 has a non-finite area bound" \
+        in capsys.readouterr().err
+
+
 def test_z_load_on_a_flat_truss_exit_2(tmp_path, capsys):
     bar = make_model("bar", [(0, 0), (100, 0)], [(0, 1, 0)],
                      [MemberGroup(0, 0.5, 5.0, 30.0, 30.0)],

@@ -155,3 +155,45 @@ def test_generation_counter_advances(small_model):
         pop = step_generation(pop, small_model, params, PP)
         assert pop.generation == g
         assert len(pop.individuals) == 10
+
+
+def _twins(seed):
+    return np.random.default_rng(seed), np.random.default_rng(seed)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_uniform_box_is_generator_uniform(seed):
+    # same floats and same stream position as Generator.uniform(low, high)
+    a, b = _twins(seed)
+    low = np.random.default_rng(100 + seed).uniform(-50.0, 50.0, size=29)
+    high = low + np.random.default_rng(200 + seed).uniform(0.0, 80.0, size=29)
+    high[3] = low[3]      # a degenerate interval
+    for _ in range(50):
+        assert ga.uniform_box(a, low, high).tobytes() == \
+            b.uniform(low, high).tobytes()
+        assert a.random() == b.random()
+
+
+def _mutate_reference(design, rng, lo, hi, mutation_rate, sigma_fraction):
+    # mutate as written with Generator.uniform and Generator.normal
+    out = design.copy()
+    mask = rng.uniform(size=len(out)) < mutation_rate
+    noise = rng.normal(0.0, 1.0, size=len(out)) * sigma_fraction * (hi - lo)
+    out[mask] += noise[mask]
+    return np.clip(out, lo, hi)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_mutate_draws_are_generator_uniform_and_normal(seed):
+    # mutate draws random(n) and standard_normal(n): the numbers and
+    # stream positions of uniform(size=n) and normal(0, 1, n). The scalar
+    # random() of crossover and the SA acceptance test is uniform()
+    a, b = _twins(seed)
+    for n in (1, 10, 29):
+        lo, hi = np.full(n, 0.1), np.full(n, 40.0)
+        design = np.linspace(0.1, 40.0, n)
+        assert mutate(design, a, lo, hi, 0.3, 0.1).tobytes() == \
+            _mutate_reference(design, b, lo, hi, 0.3, 0.1).tobytes()
+        assert a.random() == b.random()
+        assert a.random() == b.uniform()
+        assert a.random() == b.random()

@@ -76,6 +76,16 @@ def test_bad_area_bounds_rejected():
     assert any(code == "NonPositiveLimit" for code, _ in exc.value.problems)
 
 
+@pytest.mark.parametrize("area_min, area_max", [
+    (0.1, float("inf")), (float("nan"), 10.0), (-float("inf"), 10.0),
+    (float("inf"), float("inf"))])
+def test_non_finite_area_bound_rejected(area_min, area_max):
+    with pytest.raises(ValidationError) as exc:
+        _make(groups=_groups(area_min=area_min, area_max=area_max))
+    assert exc.value.problems == [
+        ("NonFiniteBound", "group 0 has a non-finite area bound")]
+
+
 def test_all_dofs_fixed_rejected():
     with pytest.raises(ValidationError) as exc:
         _make(supports=[(0, "xy"), (1, "xy")])
