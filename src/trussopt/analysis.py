@@ -3,21 +3,25 @@
 All per-geometry quantities (member lengths, direction cosines, dof
 scatter indices, the constraint table) are precomputed once per model in
 an Analyzer, so that repeated analyses of different designs only pay for
-the stiffness assembly and a dense Cholesky solve, which calls LAPACK
-potrf/potrs directly. An analysis yields one [stresses | displacements]
-row per load case, and the normalized margin of every constraint row
-read from it with the in-force mask; labels for those rows are built
-only on request. The optimizer's evaluation (`Analyzer.evaluate`) goes
-from areas to (weight, violation total) through the same margins
-without building a result object. Everything is pure in the design
-vector, so analyses may run concurrently.
+the stiffness assembly and a banded Cholesky solve. The reduced stiffness
+is assembled straight into LAPACK lower band form and factored and solved
+with pbtrf/pbtrs. Natural dof order keeps the band narrow on the built-in
+models (half-bandwidth 5-23), where pbtrf works the band one column at a
+time, so a result does not depend on the BLAS thread count. An analysis
+yields one [stresses | displacements] row per load case, and the
+normalized margin of every constraint row read from it with the in-force
+mask; labels for those rows are built only on request. The optimizer's
+evaluation (`Analyzer.evaluate`) goes from areas to (weight, violation
+total) through the same margins without building a result object.
+Everything is pure in the design vector, so analyses may run
+concurrently.
 """
 
 import weakref
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .model import DOF_NAMES, ModelError, TrussModel
 
@@ -95,12 +99,15 @@ class Analyzer:
         pos = -np.ones(ndof, dtype=int)
         pos[self.free] = np.arange(self.n_free)
 
-        # flattened scatter indices of each element's 6x6 block into the
-        # reduced matrix; contributions touching fixed dofs are dropped
-        rows = np.repeat(dofs, 6, axis=1)                  # (n_el, 36)
-        cols = np.tile(dofs, (1, 6))
-        keep = self.free[rows] & self.free[cols]
-        flat = pos[rows] * self.n_free + pos[cols]
+        # scatter indices of each element's 6x6 block into the lower band
+        # of the reduced matrix: entry (i, j), i >= j, goes to band[i - j, j]
+        # of a (kd + 1, n_free) array, stored column by column as LAPACK
+        # reads it. Contributions touching fixed dofs are dropped
+        rows = pos[np.repeat(dofs, 6, axis=1)]             # (n_el, 36)
+        cols = pos[np.tile(dofs, (1, 6))]
+        keep = (rows >= cols) & (cols >= 0)
+        self.kd = int(np.max(rows[keep] - cols[keep], initial=0))
+        flat = cols * (self.kd + 1) + rows - cols
         outer = d6[:, :, None] * d6[:, None, :]            # (n_el, 6, 6)
         outer_flat = outer.reshape(n_el, 36)
         self._scatter_idx = flat[keep]
@@ -172,26 +179,30 @@ class Analyzer:
         return float(self.density * (areas[self.group_of] * self.lengths).sum())
 
     def assemble(self, areas):
-        """Reduced (free-dof) global stiffness matrix for a design vector."""
+        """Reduced (free-dof) global stiffness at a design, in LAPACK lower
+        band form: a (kd + 1, n_free) array whose row r holds the r-th
+        subdiagonal, band[i - j, j] = K[i, j] for 0 <= i - j <= kd."""
         areas = np.asarray(areas, dtype=float)
         k_axial = self.E * areas[self.group_of] / self.lengths  # (n_el,)
         # scatter-add all element (E*A/L) * d d^T blocks in one bincount
         vals = k_axial[self._scatter_el] * self._scatter_coeff
-        K = np.bincount(self._scatter_idx, weights=vals,
-                        minlength=self.n_free * self.n_free)
-        return K.reshape(self.n_free, self.n_free)
+        band = np.bincount(self._scatter_idx, weights=vals,
+                           minlength=(self.kd + 1) * self.n_free)
+        return band.reshape(self.n_free, self.kd + 1).T
 
     def factorize(self, areas):
-        """Lower Cholesky factor of the reduced stiffness at a design."""
-        K = self.assemble(areas)
-        diag = K.diagonal()
-        if diag.size == 0 or diag.max() <= 0:
+        """Lower banded Cholesky factor of the reduced stiffness at a
+        design, in the band form of `assemble`."""
+        band = self.assemble(areas)
+        # the diagonal is band row 0; read it before pbtrf overwrites it
+        diag_max = band[0].max(initial=0.0)
+        if diag_max <= 0:
             raise SingularStructure("stiffness matrix has no positive diagonal")
-        c, info = dpotrf(K, lower=1, clean=0)
+        c, info = dpbtrf(band, lower=1, overwrite_ab=1)
         if info > 0:
             raise SingularStructure("Cholesky factorization failed")
-        pivots = c.diagonal() ** 2
-        if pivots.min() < SINGULARITY_RTOL * diag.max():
+        pivots = c[0] ** 2
+        if pivots.min() < SINGULARITY_RTOL * diag_max:
             raise SingularStructure("pivot below singularity tolerance")
         return c
 
@@ -225,7 +236,7 @@ class Analyzer:
         area-dependent Euler bound -K*E*A/L^2, in force only under
         compression. Displacement: |u|/limit - 1.
         """
-        U, _ = dpotrs(self.factorize(areas), self.F_free, lower=1)
+        U, _ = dpbtrs(self.factorize(areas), self.F_free, lower=1)
         response = np.zeros(self._response_shape)
         response[:, self._free_cols] = U.T
         n_el = len(self.lengths)

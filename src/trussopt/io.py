@@ -31,11 +31,18 @@ def _check(types, message, convert=None):
     return check
 
 
+def _float(value):
+    try:
+        return float(value)
+    except OverflowError:  # an int literal beyond the float range
+        raise _Bad("number out of float range") from None
+
+
 _int = _check((int,), "expected int")
-_number = _check((int, float), "expected a number", float)
+_number = _check((int, float), "expected a number", _float)
 # a null stress limit means unconstrained, stored as inf
 _number_or_null = _check((int, float, type(None)), "expected a number or null",
-                         lambda v: float("inf") if v is None else float(v))
+                         lambda v: float("inf") if v is None else _float(v))
 _str, _list, _object = (_check((t,), f"expected {t.__name__}")
                         for t in (str, list, dict))
 

@@ -67,10 +67,57 @@ def test_load_scaling_linearity(two_bar):
                                3.0 * res1.element_stresses, rtol=1e-10)
 
 
+def _dense(band):
+    """The symmetric matrix whose LAPACK lower band form is `band`."""
+    n = band.shape[1]
+    K = np.zeros((n, n))
+    for r, diagonal in enumerate(band):
+        j = np.arange(n - r)
+        K[j + r, j] = K[j, j + r] = diagonal[:n - r]
+    return K
+
+
+def _reference_stiffness(model, areas):
+    """Reduced stiffness assembled element by element in dense storage."""
+    coords = model.node_coords()
+    group = model.element_group_indices()
+    K = np.zeros((3 * model.n_nodes,) * 2)
+    for i, e in enumerate(model.elements):
+        delta = coords[e.node_b] - coords[e.node_a]
+        L = np.linalg.norm(delta)
+        k = (model.material.elastic_modulus * areas[group[i]] / L
+             * np.outer(delta, delta) / L ** 2)
+        dofs = np.r_[3 * e.node_a:3 * e.node_a + 3, 3 * e.node_b:3 * e.node_b + 3]
+        K[np.ix_(dofs, dofs)] += np.block([[k, -k], [-k, k]])
+    free = ~model.fixed_dof_mask()
+    return K[np.ix_(free, free)]
+
+
 def test_stiffness_matrix_symmetric_positive_definite(two_bar):
-    K = Analyzer(two_bar).assemble([2.0])
+    K = _dense(Analyzer(two_bar).assemble([2.0]))
     np.testing.assert_allclose(K, K.T, rtol=1e-12)
     assert np.all(np.linalg.eigvalsh(K) > 0)
+
+
+@pytest.mark.parametrize("name", benchmarks.builtin_names())
+def test_band_assembly_matches_dense_reference(name):
+    model = benchmarks.get_builtin(name)
+    an = Analyzer(model)
+    lo, hi = model.area_bounds()
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        areas = rng.uniform(lo, hi)
+        ref = _reference_stiffness(model, areas)
+        K = _dense(an.assemble(areas))
+        np.testing.assert_allclose(K, ref, rtol=0, atol=1e-12 * abs(ref).max())
+        # natural dof order: nothing of the reference lies outside the band
+        assert not np.tril(ref, -an.kd - 1).any()
+        U = np.linalg.solve(ref, an.F_free)
+        result = analyze(model, areas)
+        for c, case in enumerate(result.cases):
+            u = case.displacements.reshape(-1)[an.free]
+            np.testing.assert_allclose(u, U[:, c], rtol=1e-9,
+                                       atol=1e-9 * abs(U[:, c]).max())
 
 
 def test_mechanism_raises_singular_structure():

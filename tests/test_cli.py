@@ -152,6 +152,13 @@ def test_non_finite_area_bound_exit_2(tmp_path, capsys, command):
         in capsys.readouterr().err
 
 
+def test_huge_integer_literal_exit_2(tmp_path, capsys):
+    p = _write_10bar(tmp_path, ("groups", 0, "area_max"), 10 ** 400)
+    assert main(["verify", "--model", p, "--areas", AREAS_10BAR]) == 2
+    assert "groups[0].area_max: number out of float range" \
+        in capsys.readouterr().err
+
+
 def test_z_load_on_a_flat_truss_exit_2(tmp_path, capsys):
     bar = make_model("bar", [(0, 0), (100, 0)], [(0, 1, 0)],
                      [MemberGroup(0, 0.5, 5.0, 30.0, 30.0)],

@@ -176,9 +176,12 @@ def test_compare_budgets_match(small_model):
 
 
 _HISTORY_SCRIPT = """
+import sys
 from trussopt import benchmarks, ga, hybrid
-rec = hybrid.run(benchmarks.get_builtin("25bar"),
-                 hybrid.HybridParams(ga=ga.GaParams(max_generations=10)), seed=0)
+name, generations = sys.argv[1], int(sys.argv[2])
+rec = hybrid.run(benchmarks.get_builtin(name),
+                 hybrid.HybridParams(ga=ga.GaParams(max_generations=generations)),
+                 seed=0)
 print(repr([(h.generation, h.best_F, h.mean_F, h.best_feasible_weight,
              h.evaluations, h.sa_ran) for h in rec.history]))
 print(rec.best.design.tobytes().hex())
@@ -187,14 +190,20 @@ print(rec.best.design.tobytes().hex())
 
 def test_run_is_deterministic_across_processes():
     # string hashing and the BLAS thread count must not reach the history
-    # (25bar has displacement limits on the dofs {x, y, z})
+    # (25bar has displacement limits on the dofs {x, y, z}; 200bar has the
+    # widest system, 150 free dofs)
     src = str(Path(trussopt.__file__).resolve().parent.parent)
-    outputs = set()
-    for hash_seed, threads in (("0", "1"), ("1", "1"), ("0", "2")):
-        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed,
-               "OPENBLAS_NUM_THREADS": threads}
-        done = subprocess.run([sys.executable, "-c", _HISTORY_SCRIPT], env=env,
-                              capture_output=True, text=True, timeout=300,
-                              check=True)
-        outputs.add(done.stdout)
-    assert len(outputs) == 1
+
+    def histories(name, generations, settings):
+        outputs = set()
+        for hash_seed, threads in settings:
+            env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed,
+                   "OPENBLAS_NUM_THREADS": threads}
+            done = subprocess.run(
+                [sys.executable, "-c", _HISTORY_SCRIPT, name, str(generations)],
+                env=env, capture_output=True, text=True, timeout=300, check=True)
+            outputs.add(done.stdout)
+        return outputs
+
+    assert len(histories("25bar", 10, (("0", "1"), ("1", "1"), ("0", "2")))) == 1
+    assert len(histories("200bar", 3, (("0", "1"), ("0", "2")))) == 1

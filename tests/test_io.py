@@ -119,7 +119,8 @@ LIMIT = ("displacement_limits", 0)
 
 # (object kind, path, value, location, message): for each kind, the value
 # is not an object, has an unknown key, lacks a required field, and holds
-# a field of the wrong type
+# a field of the wrong type; a number field also holds an int literal
+# beyond the float range
 FAULTS = [
     ("document", (), [1, 2, 3], "document", "top level must be an object"),
     ("document", ("unexpected",), 1, "document", "unknown key 'unexpected'"),
@@ -149,6 +150,10 @@ FAULTS = [
      "groups[2].stress_tension", "expected a number or null"),
     ("group", ("groups", 2, "buckling_k"), None, "groups[2].buckling_k",
      "expected a number"),
+    ("group", ("groups", 2, "area_max"), 10 ** 400, "groups[2].area_max",
+     "number out of float range"),
+    ("group", ("groups", 2, "stress_tension"), 10 ** 400,
+     "groups[2].stress_tension", "number out of float range"),
     ("element", ("elements", 4), [0, 1], "elements[4]", "expected an object"),
     ("element", ("elements", 4, "length"), 1, "elements[4]",
      "unknown key 'length'"),
