@@ -1,20 +1,24 @@
 """Linear-elastic truss analysis by the direct stiffness method.
 
 All per-geometry quantities (member lengths, direction cosines, dof
-scatter indices, the constraint table) are precomputed once per model in
-an Analyzer, so that repeated analyses of different designs only pay for
-the stiffness assembly and a banded Cholesky solve. The reduced stiffness
-is assembled straight into LAPACK lower band form and factored and solved
-with pbtrf/pbtrs. Natural dof order keeps the band narrow on the built-in
-models (half-bandwidth 5-23), where pbtrf works the band one column at a
-time, so a result does not depend on the BLAS thread count. An analysis
-yields one [stresses | displacements] row per load case, and the
-normalized margin of every constraint row read from it with the in-force
-mask; labels for those rows are built only on request. The optimizer's
-evaluation (`Analyzer.evaluate`) goes from areas to (weight, violation
-total) through the same margins without building a result object.
-Everything is pure in the design vector, so analyses may run
-concurrently.
+scatter indices, gather indices, the constraint table) are precomputed
+once per model in an Analyzer, so that repeated analyses of different
+designs only pay for the stiffness assembly and a banded Cholesky solve.
+The reduced stiffness is assembled straight into LAPACK lower band form
+and factored and solved with pbtrf/pbtrs. Natural dof order keeps the
+band narrow on the built-in models (half-bandwidth 5-23), where pbtrf
+works the band one column at a time, so a result does not depend on the
+BLAS thread count. The loads sit in a right-hand side with one zero row
+below the free dofs, which the solve leaves alone and every fixed dof
+reads, so element displacements and the constraint sources are flat
+takes from the padded solution with no response array in between. An
+analysis (`analyze`) yields one [stresses | displacements] row per load
+case, and the normalized margin of every constraint row with the
+in-force mask; labels for those rows are built only on request. The
+optimizer's evaluation (`Analyzer.evaluate`) goes from areas to (weight,
+violation total) through the same solve and margins without building a
+response array or a result object. Everything is pure in the design
+vector, so analyses may run concurrently.
 """
 
 import weakref
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
-from .model import DOF_NAMES, ModelError, TrussModel
+from .model import DOF_NAMES, ModelError, TrussModel, clamp
 
 
 class AnalysisError(Exception):
@@ -117,8 +121,11 @@ class Analyzer:
         self.E = model.material.elastic_modulus
         self.density = model.material.weight_density
 
-        # load vectors, reduced to free dofs, one column per load case;
-        # add.at accumulates repeated (dof, case) entries in load order
+        # load vectors, one column per load case; add.at accumulates
+        # repeated (dof, case) entries in load order. The right-hand side
+        # holds them on the free dofs in Fortran order, as pbtrs reads it,
+        # with one more row of zeros: pbtrs takes n from the band, so it
+        # leaves that row alone, and every fixed dof reads it
         n_cases = len(model.load_cases)
         case = np.array([j for j, lc in enumerate(model.load_cases)
                          for _ in lc.point_loads], dtype=int)
@@ -129,21 +136,28 @@ class Analyzer:
         F = np.zeros((ndof, n_cases))
         np.add.at(F, (3 * node[:, None] + np.arange(3), case[:, None]),
                   forces.reshape(-1, 3))
-        self.F_free = F[self.free]
+        self._rhs = np.zeros((self.n_free + 1, n_cases), order="F")
+        self._rhs[:-1] = F[self.free]
+        self._rhs.flags.writeable = False
+        self.F_free = self._rhs[:-1]
+        # row of each global dof in the padded solution: the zero row if fixed
+        dof_row = np.where(self.free, pos, self.n_free)
 
-        # response columns of the free dofs and of each element's dofs; the
-        # 2-D stress kernel over all cases' stacked element rows sums each
-        # row exactly as it would for a single case
-        self._free_cols = n_el + np.flatnonzero(self.free)
-        self._elem_cols = n_el + dofs
+        # flat indices into the padded solution raveled case by case: the
+        # six dofs of each element of each case, stacked as the 2-D stress
+        # kernel reads them; that kernel sums each row exactly as it would
+        # for a single case
+        n_pad = self.n_free + 1
+        self._elem_take = (np.arange(n_cases)[:, None, None] * n_pad
+                           + dof_row[dofs]).reshape(-1, 6)
         self._d6_stacked = np.tile(d6, (n_cases, 1))     # (n_cases * n_el, 6)
-        self._response_shape = (n_cases, n_el + ndof)
 
         # the constraint table, one row per constraint of a load case: each
         # element's stress, followed by its Euler buckling bound if its
         # group buckles, then the displacement limits in sorted (node, dof)
-        # order. A row reads column `source` of the response array and
-        # divides it by the limit of the same sign
+        # order. A row reads column `source` of a load case's
+        # [stresses | padded solution] row and divides it by the limit of
+        # the same sign
         table = []         # (source, upper, lower, kind, where)
         buckling_K = []
         for i, e in enumerate(model.elements):
@@ -158,7 +172,7 @@ class Analyzer:
         for dl in model.displacement_limits:
             for nid in sorted(dl.nodes):
                 for dof in sorted(dl.dofs):
-                    table.append((n_el + 3 * nid + DOF_NAMES.index(dof),
+                    table.append((n_el + dof_row[3 * nid + DOF_NAMES.index(dof)],
                                  dl.limit, -dl.limit,
                                  "displacement", {"node": nid, "dof": dof}))
         source, upper, lower, kinds, where = zip(*table)
@@ -171,6 +185,10 @@ class Analyzer:
         self.buckling_coeff = -np.array(buckling_K) * self.E
         self.buckling_L2 = self.lengths[buckling_el] ** 2
         self._row_kind, self._row_where = kinds, where
+        # flat indices of every (case, row) source, and the response columns
+        # of the stresses and of all 3 * n_nodes dofs
+        self._q_take = np.arange(n_cases)[:, None] * (n_el + n_pad) + self.row_source
+        self._response_cols = np.concatenate((np.arange(n_el), n_el + dof_row))
         self._case_ids = tuple(lc.id for lc in model.load_cases)
 
     def structure_weight(self, areas):
@@ -211,9 +229,12 @@ class Analyzer:
         normalized constraints g = quantity/limit - 1 over the constraint
         table with the mask of the entries in force (see `_margins`)."""
         areas = np.asarray(areas, dtype=float)
-        response, margins, in_force = self._margins(areas)
+        source, margins, in_force = self._margins(areas)
+        if in_force is None:
+            in_force = np.ones(margins.shape, dtype=bool)
         return AnalysisResult(weight=self.structure_weight(areas),
-                              response=response, n_elements=len(self.lengths),
+                              response=source[:, self._response_cols],
+                              n_elements=len(self.lengths),
                               margins=margins, in_force=in_force)
 
     def evaluate(self, areas):
@@ -222,40 +243,43 @@ class Analyzer:
         margins in force, as `penalty.evaluate_constraints` does over an
         `analyze` result, bit for bit. Raises SingularStructure where
         `factorize` does."""
-        areas = np.clip(np.asarray(areas, dtype=float), self.area_lo, self.area_hi)
+        areas = clamp(np.asarray(areas, dtype=float), self.area_lo, self.area_hi)
         _, margins, in_force = self._margins(areas)
-        total = float(np.maximum(margins[in_force], 0.0).sum())
-        return areas, self.structure_weight(areas), total
+        # the same 1-D sequence as margins[in_force], so the same sum
+        g = margins.ravel() if in_force is None else margins[in_force]
+        return areas, self.structure_weight(areas), float(np.maximum(g, 0.0).sum())
 
     def _margins(self, areas):
-        """Solve every load case at a float design; return the response
-        array, the margins g and their in-force mask.
+        """Solve every load case at a float design. Return the source
+        array, one [stresses | padded solution] row per load case, the
+        margins g, and their in-force mask, or None when every entry is
+        in force (a model without buckling rows).
 
         Stress: against the tension limit for positive stress, the
         compression limit magnitude for negative. Buckling: against the
         area-dependent Euler bound -K*E*A/L^2, in force only under
         compression. Displacement: |u|/limit - 1.
         """
-        U, _ = dpbtrs(self.factorize(areas), self.F_free, lower=1)
-        response = np.zeros(self._response_shape)
-        response[:, self._free_cols] = U.T
+        X, _ = dpbtrs(self.factorize(areas), self._rhs, lower=1)
         n_el = len(self.lengths)
         elong = np.einsum("ij,ij->i", self._d6_stacked,
-                          response[:, self._elem_cols].reshape(-1, 6))
-        response[:, :n_el] = self.E * elong.reshape(-1, n_el) / self.lengths
+                          X.ravel(order="F").take(self._elem_take))
+        stresses = self.E * elong.reshape(-1, n_el) / self.lengths
+        source = np.concatenate((stresses, X.T), axis=1)
 
-        q = response[:, self.row_source]
+        q = source.take(self._q_take)
         lower = self.row_lower
-        in_force = np.ones(q.shape, dtype=bool)
+        in_force = None
         if self.buckling_row.size:
             lower = lower.copy()
             lower[self.buckling_row] = (self.buckling_coeff
                                         * areas[self.buckling_group]
                                         / self.buckling_L2)
+            in_force = np.ones(q.shape, dtype=bool)
             in_force[:, self.buckling_row] = q[:, self.buckling_row] < 0
         # the limit takes the sign of q, so q/limit = |q|/|limit|
         margins = q / np.where(q >= 0, self.row_upper, lower) - 1.0
-        return response, margins, in_force
+        return source, margins, in_force
 
     def constraint_labels(self, mask):
         """The label of each true entry of an (n_cases, n_rows) mask, in

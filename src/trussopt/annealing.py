@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ga
+from .model import clamp
 
 
 class DimensionMismatch(ValueError):
@@ -74,7 +75,7 @@ def sample_neighbor(center, radii, rng, lo, hi):
     if center.shape != np.shape(radii):
         raise DimensionMismatch("center and radii dimensions differ")
     draw = ga.uniform_box(rng, center - radii, center + radii)
-    return np.clip(draw, lo, hi)
+    return clamp(draw, lo, hi)
 
 
 def anneal(objective, start_design, start_value, radii, lo, hi, params, rng):

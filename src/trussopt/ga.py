@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import analysis
+from .model import clamp
 # evaluate_constraints is not called here since evaluations go through
 # Analyzer.evaluate; bench/tracing.py still wraps it as ga.evaluate_constraints
 from .penalty import evaluate_constraints, penalized_objective  # noqa: F401
@@ -127,7 +128,7 @@ def crossover(parent_a, parent_b, rng, lo, hi, crossover_rate, extension=0.5):
     b = high + extension * span
     c1 = uniform_box(rng, a, b)
     c2 = uniform_box(rng, a, b)
-    return np.clip(c1, lo, hi), np.clip(c2, lo, hi)
+    return clamp(c1, lo, hi), clamp(c2, lo, hi)
 
 
 def mutate(design, rng, lo, hi, mutation_rate, sigma_fraction):
@@ -138,7 +139,7 @@ def mutate(design, rng, lo, hi, mutation_rate, sigma_fraction):
     mask = rng.random(len(out)) < mutation_rate
     noise = rng.standard_normal(len(out)) * sigma_fraction * (hi - lo)
     out[mask] += noise[mask]
-    return np.clip(out, lo, hi)
+    return clamp(out, lo, hi)
 
 
 def step_generation(pop, model, ga_params, penalty_params):

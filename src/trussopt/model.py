@@ -15,6 +15,12 @@ import numpy as np
 DOF_NAMES = ("x", "y", "z")
 
 
+def clamp(x, lo, hi):
+    """x clamped elementwise into [lo, hi]: the values of np.clip(x, lo,
+    hi), NaN included, at less call overhead."""
+    return np.minimum(np.maximum(x, lo), hi)
+
+
 class ModelError(Exception):
     """Base class for model construction/validation failures."""
 
@@ -138,7 +144,7 @@ class TrussModel:
     def clamp(self, areas):
         """Clamp a design vector into the per-group area bounds."""
         lo, hi = self.area_bounds()
-        return np.clip(np.asarray(areas, dtype=float), lo, hi)
+        return clamp(np.asarray(areas, dtype=float), lo, hi)
 
     def fixed_dof_mask(self):
         """Boolean (n_nodes * 3,) mask of dofs eliminated by supports."""
@@ -242,14 +248,22 @@ def validate(model):
     ids = [nd.id for nd in model.nodes]
     if ids != list(range(n)):
         problems.append(("BadNodeIds", f"node ids must be contiguous from 0, got {ids}"))
-    for nd in model.nodes:
-        if not all(np.isfinite(nd.coords)):
+    xyz = model.node_coords().reshape(n, 3)
+    for nd, finite in zip(model.nodes, np.isfinite(xyz).all(axis=1)):
+        if not finite:
             problems.append(("NonFiniteCoords", f"node {nd.id} has non-finite coordinates"))
 
     group_ids = {g.id for g in model.groups}
-    coords = {nd.id: np.array(nd.coords) for nd in model.nodes}
+    # every element length in one vectorized norm; a repeated node id
+    # names its last node, and an end that names no node reads the zero
+    # row appended to the coordinates (such a length is not checked)
+    row = {nd.id: i for i, nd in enumerate(model.nodes)}
+    xyz = np.vstack([xyz, np.zeros(3)])
+    ends = np.array([(row.get(e.node_a, n), row.get(e.node_b, n))
+                     for e in model.elements], dtype=int).reshape(-1, 2)
+    lengths = np.linalg.norm(xyz[ends[:, 1]] - xyz[ends[:, 0]], axis=1)
     used_groups = set()
-    for e in model.elements:
+    for i, e in enumerate(model.elements):
         if e.node_a == e.node_b:
             problems.append(("ZeroLengthElement", f"element {e.id} connects node {e.node_a} to itself"))
         for nid in (e.node_a, e.node_b):
@@ -258,8 +272,8 @@ def validate(model):
         if e.group not in group_ids:
             problems.append(("DanglingReference", f"element {e.id} references missing group {e.group}"))
         used_groups.add(e.group)
-        if e.node_a in coords and e.node_b in coords and e.node_a != e.node_b:
-            if np.linalg.norm(coords[e.node_b] - coords[e.node_a]) < 1e-12:
+        if e.node_a in row and e.node_b in row and e.node_a != e.node_b:
+            if lengths[i] < 1e-12:
                 problems.append(("ZeroLengthElement", f"element {e.id} has zero length"))
 
     for g in model.groups:

@@ -275,3 +275,21 @@ def test_load_vectors_match_per_load_accumulation():
     for model in [*models, repeated]:
         assert (Analyzer(model).F_free.tobytes()
                 == _load_vectors_by_loop(model).tobytes())
+
+
+@pytest.mark.parametrize("name", benchmarks.builtin_names())
+def test_padded_solve_reads_fixed_dofs_as_positive_zero(name):
+    # fixed dofs read the zero row below the free dofs of the padded
+    # solution: exactly +0.0, and that row is never written
+    model = benchmarks.get_builtin(name)
+    an = Analyzer(model)
+    assert an._rhs.flags.f_contiguous and not an._rhs[-1].any()
+    rhs = an._rhs.tobytes()
+    lo, hi = model.area_bounds()
+    fixed = model.fixed_dof_mask()
+    for areas in [lo, hi, *np.random.default_rng(4).uniform(lo, hi, size=(3, len(lo)))]:
+        an.evaluate(areas)
+        for case in an.analyze(areas).cases:
+            u = case.displacements.reshape(-1)[fixed]
+            assert (u == 0.0).all() and not np.signbit(u).any()
+    assert an._rhs.tobytes() == rhs

@@ -74,6 +74,14 @@ def test_golden_run_25bar_seed_0():
     assert repr(rec.best.weight) == "549.2866083832797"
 
 
+def test_golden_run_200bar_seed_0():
+    # a pinned 200bar run: stress rows only, and the largest band
+    rec = run(benchmarks.get_builtin("200bar"),
+              HybridParams(ga=GaParams(max_generations=30)), seed=0)
+    assert rec.total_evaluations == 7822
+    assert repr(rec.best.weight) == "38960.2018879969"
+
+
 def test_different_seeds_differ(small_model):
     params = _small_params()
     a = run(small_model, params, seed=1)

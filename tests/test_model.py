@@ -132,3 +132,25 @@ def test_z_load_makes_a_flat_model_3d():
     m = _make(loads=({1: (10, 0, 7)},))
     assert [(s.node, s.fixed_dofs) for s in m.supports] == [
         (0, frozenset("xy")), (1, frozenset("y"))]
+
+
+def test_problems_are_reported_in_model_order():
+    # the zero-length check reads one vectorized norm of all lengths, yet
+    # each element's problems still follow the node problems in element
+    # order: coincident nodes 1 and 2, a self-loop, a NaN node, and ends
+    # that name a missing node or group
+    with pytest.raises(ValidationError) as exc:
+        _make(nodes=[(0, 0), (100, 0), (100, 0), (float("nan"), 5), (0, 50)],
+              elements=[(0, 1, 0), (1, 2, 0), (2, 2, 0), (3, 0, 0),
+                        (4, 9, 0), (9, 9, 0), (2, 1, 3), (4, 0, 0)],
+              supports=[(0, "xy"), (4, "xy")])
+    assert exc.value.problems == [
+        ("NonFiniteCoords", "node 3 has non-finite coordinates"),
+        ("ZeroLengthElement", "element 1 has zero length"),
+        ("ZeroLengthElement", "element 2 connects node 2 to itself"),
+        ("DanglingReference", "element 4 references missing node 9"),
+        ("ZeroLengthElement", "element 5 connects node 9 to itself"),
+        ("DanglingReference", "element 5 references missing node 9"),
+        ("DanglingReference", "element 5 references missing node 9"),
+        ("DanglingReference", "element 6 references missing group 3"),
+        ("ZeroLengthElement", "element 6 has zero length")]
