@@ -157,34 +157,38 @@ class Analyzer:
         # group buckles, then the displacement limits in sorted (node, dof)
         # order. A row reads column `source` of a load case's
         # [stresses | padded solution] row and divides it by the limit of
-        # the same sign
-        table = []         # (source, upper, lower, kind, where)
-        buckling_K = []
-        for i, e in enumerate(model.elements):
-            g = model.groups[self.group_of[i]]
-            table.append((i, g.stress_tension_limit, -g.stress_compression_limit,
-                         "stress", {"element": e.id}))
-            if g.buckling is not None:
-                # lower is -K*E*A/L^2, set per design; in force only under
-                # compression
-                table.append((i, np.inf, np.nan, "buckling", {"element": e.id}))
-                buckling_K.append(g.buckling.K)
-        for dl in model.displacement_limits:
-            for nid in sorted(dl.nodes):
-                for dof in sorted(dl.dofs):
-                    table.append((n_el + dof_row[3 * nid + DOF_NAMES.index(dof)],
-                                 dl.limit, -dl.limit,
-                                 "displacement", {"node": nid, "dof": dof}))
-        source, upper, lower, kinds, where = zip(*table)
-        self.row_source = np.array(source)
-        self.row_upper = np.array(upper)
-        self.row_lower = np.array(lower)
-        self.buckling_row = np.flatnonzero(np.array(kinds) == "buckling")
+        # the same sign. Per group: the tension limit, the negated
+        # compression limit, and the buckling constant K, nan where the
+        # group does not buckle
+        upper, lower, K = np.array(
+            [(g.stress_tension_limit, -g.stress_compression_limit,
+              np.nan if g.buckling is None else g.buckling.K)
+             for g in model.groups], dtype=float).reshape(-1, 3).T
+        buckles = ~np.isnan(K[self.group_of])
+        rows = 1 + buckles                 # an element's rows: 1 or 2
+        member_source = np.repeat(np.arange(n_el), rows)
+        member_group = self.group_of[member_source]
+        self.buckling_row = (np.cumsum(rows) - 1)[buckles]
+        self._limit_dofs = np.array(
+            [3 * nid + DOF_NAMES.index(dof)
+             for dl in model.displacement_limits
+             for nid in sorted(dl.nodes) for dof in sorted(dl.dofs)], dtype=int)
+        limit = np.repeat([dl.limit for dl in model.displacement_limits],
+                          [len(dl.nodes) * len(dl.dofs)
+                           for dl in model.displacement_limits])
+        self.row_source = np.concatenate((member_source,
+                                          n_el + dof_row[self._limit_dofs]))
+        self.row_upper = np.concatenate((upper[member_group], limit))
+        self.row_lower = np.concatenate((lower[member_group], -limit))
+        # lower is -K*E*A/L^2 on a buckling row, set per design; in force
+        # only under compression
+        self.row_upper[self.buckling_row] = np.inf
+        self.row_lower[self.buckling_row] = np.nan
         buckling_el = self.row_source[self.buckling_row]
         self.buckling_group = self.group_of[buckling_el]
-        self.buckling_coeff = -np.array(buckling_K) * self.E
+        self.buckling_coeff = -K[self.buckling_group] * self.E
         self.buckling_L2 = self.lengths[buckling_el] ** 2
-        self._row_kind, self._row_where = kinds, where
+        self._elements = model.elements     # for constraint_labels
         # flat indices of every (case, row) source, and the response columns
         # of the stresses and of all 3 * n_nodes dofs
         self._q_take = np.arange(n_cases)[:, None] * (n_el + n_pad) + self.row_source
@@ -284,8 +288,15 @@ class Analyzer:
     def constraint_labels(self, mask):
         """The label of each true entry of an (n_cases, n_rows) mask, in
         row-major order: kind, load case, and element or node/dof."""
-        return [{"kind": self._row_kind[r], "case": self._case_ids[c],
-                 **self._row_where[r]}
+        n_member = len(self.row_source) - len(self._limit_dofs)
+        kinds = ["stress"] * n_member + ["displacement"] * len(self._limit_dofs)
+        for r in self.buckling_row.tolist():
+            kinds[r] = "buckling"
+        where = [{"element": self._elements[i].id}
+                 for i in self.row_source[:n_member].tolist()]
+        where += [{"node": d // 3, "dof": DOF_NAMES[d % 3]}
+                  for d in self._limit_dofs.tolist()]
+        return [{"kind": kinds[r], "case": self._case_ids[c], **where[r]}
                 for c, r in zip(*np.nonzero(mask))]
 
 

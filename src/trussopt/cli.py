@@ -7,9 +7,15 @@ Subcommands:
   list     show the built-in benchmark catalog
 
 Exit codes: 0 success, 1 usage error, 2 model error, 3 runtime error.
+`verify` rejects an area vector with a non-finite or negative entry as a
+usage error; a zero entry (a removed member) is allowed. The argument
+parser is built on the first `main` call and reused by every later call
+in the process: parsing fills a fresh namespace and never writes to the
+parser.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -166,12 +172,22 @@ def cmd_list(args, model):
 
 
 def _parse_areas(values):
+    """The --areas words as floats; ValueError names the first entry that
+    is not a number, or is non-finite or negative."""
     out = []
-    for v in values:
-        out.extend(float(p) for p in v.replace(",", " ").split())
+    try:
+        for v in values:
+            out.extend(float(p) for p in v.replace(",", " ").split())
+    except ValueError:
+        raise ValueError("--areas must be a list of numbers") from None
+    for i, a in enumerate(out):
+        if not 0.0 <= a < math.inf:
+            raise ValueError(f"--areas entry {i + 1} is {a!r}; areas must be "
+                             f"finite and non-negative")
     return out
 
 
+@functools.cache
 def build_parser():
     parser = _Parser(prog="trussopt",
                      description="Truss sizing optimization (hybrid SA/GA)")
@@ -227,8 +243,8 @@ def main(argv=None):
     if args.command == "verify":
         try:
             args.areas = _parse_areas(args.areas)
-        except ValueError:
-            print("error: --areas must be a list of numbers", file=sys.stderr)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
             return 1
     try:
         model_stage = True

@@ -19,89 +19,97 @@ class ParseError(ModelError):
 
 
 class _Bad(Exception):
-    """A checker's complaint about one field; _fields adds the location."""
+    """A converter's complaint about one field; _fields adds the location."""
 
 
-def _check(types, message, convert=None):
-    # json.loads makes values of exactly these types, and a bool is no int
-    def check(value):
-        if type(value) not in types:
-            raise _Bad(message)
-        return value if convert is None else convert(value)
-    return check
-
-
-def _float(value):
-    try:
-        return float(value)
-    except OverflowError:  # an int literal beyond the float range
-        raise _Bad("number out of float range") from None
-
-
-_int = _check((int,), "expected int")
-_number = _check((int, float), "expected a number", _float)
-# a null stress limit means unconstrained, stored as inf
-_number_or_null = _check((int, float, type(None)), "expected a number or null",
-                         lambda v: float("inf") if v is None else _float(v))
-_str, _list, _object = (_check((t,), f"expected {t.__name__}")
-                        for t in (str, list, dict))
+def _number_or_inf(value):
+    # a null stress limit means unconstrained, stored as inf
+    return float("inf") if value is None else float(value)
 
 
 def _dofs(value):
-    for d in _list(value):
+    for d in value:
         if d not in DOF_NAMES:
             raise _Bad(f"unknown dof '{d}'")
     return value
 
 
 def _node_ids(value):
-    if any(type(n) is not int for n in _list(value)):
+    if any(type(n) is not int for n in value):
         raise _Bad("expected a list of int node ids")
     return value
 
 
 def _limit_list(value):
     # located at the key alone, not under "document"
-    if not isinstance(value, list):
+    if type(value) is not list:
         raise ParseError("displacement_limits", "expected a list")
     return value
 
 
-# one field table per object kind: JSON key -> checker, in reading order
-_DOCUMENT = {"name": _str, "material": _object, "nodes": _list,
-             "groups": _list, "elements": _list, "supports": _list,
-             "load_cases": _list, "displacement_limits": _limit_list}
-_MATERIAL = {"elastic_modulus": _number, "weight_density": _number}
-_NODE = {"id": _int, "x": _number, "y": _number, "z": _number}
-_GROUP = {"id": _int, "area_min": _number, "area_max": _number,
-          "stress_tension": _number_or_null,
-          "stress_compression": _number_or_null, "buckling_k": _number}
-_ELEMENT = {"id": _int, "a": _int, "b": _int, "group": _int}
-_SUPPORT = {"node": _int, "fixed": _dofs}
-_LOAD_CASE = {"id": _int, "loads": _list}
-_LOAD = {"node": _int, "fx": _number, "fy": _number, "fz": _number}
-_LIMIT = {"nodes": _node_ids, "dofs": _dofs, "limit": _number}
+# A field's check: the JSON types it accepts (json.loads makes values of
+# exactly these types, and a bool is no int), the complaint about any
+# other, and the converter of an accepted value, None to keep it. A
+# converter may raise _Bad, and float's OverflowError (an int literal
+# beyond the float range) is a complaint too
+_INT = ((int,), "expected int", None)
+_NUMBER = ((int, float), "expected a number", float)
+_NUMBER_OR_NULL = ((int, float, type(None)), "expected a number or null",
+                   _number_or_inf)
+_STR, _LIST, _OBJECT = (((t,), f"expected {t.__name__}", None)
+                        for t in (str, list, dict))
+_DOF_LIST = ((list,), "expected list", _dofs)
+_NODE_ID_LIST = ((list,), "expected list", _node_ids)
+# every JSON type passes, and _limit_list locates its own complaint
+_LIMIT_LIST = ((dict, list, str, int, float, bool, type(None)), None,
+               _limit_list)
+_ABSENT = object()     # the value of an absent field: of no type above
+
+# one field table per object kind: JSON key -> check, in reading order
+_DOCUMENT = {"name": _STR, "material": _OBJECT, "nodes": _LIST,
+             "groups": _LIST, "elements": _LIST, "supports": _LIST,
+             "load_cases": _LIST, "displacement_limits": _LIMIT_LIST}
+_MATERIAL = {"elastic_modulus": _NUMBER, "weight_density": _NUMBER}
+_NODE = {"id": _INT, "x": _NUMBER, "y": _NUMBER, "z": _NUMBER}
+_GROUP = {"id": _INT, "area_min": _NUMBER, "area_max": _NUMBER,
+          "stress_tension": _NUMBER_OR_NULL,
+          "stress_compression": _NUMBER_OR_NULL, "buckling_k": _NUMBER}
+_ELEMENT = {"id": _INT, "a": _INT, "b": _INT, "group": _INT}
+_SUPPORT = {"node": _INT, "fixed": _DOF_LIST}
+_LOAD_CASE = {"id": _INT, "loads": _LIST}
+_LOAD = {"node": _INT, "fx": _NUMBER, "fy": _NUMBER, "fz": _NUMBER}
+_LIMIT = {"nodes": _NODE_ID_LIST, "dofs": _DOF_LIST, "limit": _NUMBER}
 
 
-def _fields(obj, loc, table, optional=()):
-    """Read one JSON object at `loc`: it must be an object with no key
-    outside `table` and every key not in `optional`. Returns each field's
-    checked value in table order, None for an absent optional field."""
+def _fields(obj, table, loc, *index, optional=()):
+    """Read one JSON object at location `loc`.format(*index), formatted
+    only for a diagnostic: it must be an object with no key outside
+    `table` and every key not in `optional`. Returns each field's checked
+    value in table order, None for an absent optional field."""
     if type(obj) is not dict:
-        raise ParseError(loc, "expected an object")
+        raise ParseError(loc.format(*index), "expected an object")
     if not obj.keys() <= table.keys():
-        raise ParseError(loc, f"unknown key '{min(obj.keys() - table.keys())}'")
+        raise ParseError(loc.format(*index),
+                         f"unknown key '{min(obj.keys() - table.keys())}'")
     values = []
+    get = obj.get
     try:
-        for key, check in table.items():
-            if key in obj:
-                values.append(check(obj[key]))
-            elif key in optional:
+        for key, (types, message, convert) in table.items():
+            value = get(key, _ABSENT)
+            if type(value) not in types:
+                if value is not _ABSENT:
+                    raise _Bad(message)
+                if key not in optional:
+                    raise ParseError(loc.format(*index),
+                                     f"missing required field '{key}'")
                 values.append(None)
             else:
-                raise ParseError(loc, f"missing required field '{key}'")
+                values.append(value if convert is None else convert(value))
     except _Bad as bad:
-        raise ParseError(f"{loc}.{key}", str(bad)) from None
+        raise ParseError(f"{loc.format(*index)}.{key}", str(bad)) from None
+    except OverflowError:
+        raise ParseError(f"{loc.format(*index)}.{key}",
+                         "number out of float range") from None
     return values
 
 
@@ -122,29 +130,29 @@ def parse_model(text):
     if not isinstance(doc, dict):
         raise ParseError("document", "top level must be an object")
     (name, mat, raw_nodes, raw_groups, raw_elements, raw_supports, raw_cases,
-     raw_limits) = _fields(doc, "document", _DOCUMENT,
+     raw_limits) = _fields(doc, _DOCUMENT, "document",
                            optional=("displacement_limits",))
 
-    material = Material(*_fields(mat, "material", _MATERIAL))
-    nodes = _by_id([_fields(nd, f"nodes[{i}]", _NODE)
+    material = Material(*_fields(mat, _MATERIAL, "material"))
+    nodes = _by_id([_fields(nd, _NODE, "nodes[{}]", i)
                     for i, nd in enumerate(raw_nodes)], "nodes", "BadNodeIds")
     groups = [MemberGroup(gid, area_min, area_max, tension, compression,
                           None if k is None else BucklingSpec(K=k))
               for gid, area_min, area_max, tension, compression, k in (
-                  _fields(g, f"groups[{i}]", _GROUP, optional=("buckling_k",))
+                  _fields(g, _GROUP, "groups[{}]", i, optional=("buckling_k",))
                   for i, g in enumerate(raw_groups))]
-    elements = _by_id([_fields(e, f"elements[{i}]", _ELEMENT)
+    elements = _by_id([_fields(e, _ELEMENT, "elements[{}]", i)
                        for i, e in enumerate(raw_elements)], "elements", "BadIds")
-    supports = [_fields(s, f"supports[{i}]", _SUPPORT)
+    supports = [_fields(s, _SUPPORT, "supports[{}]", i)
                 for i, s in enumerate(raw_supports)]
     cases = []
     for i, lc in enumerate(raw_cases):
-        loc = f"load_cases[{i}]"
-        case_id, raw_loads = _fields(lc, loc, _LOAD_CASE)
+        case_id, raw_loads = _fields(lc, _LOAD_CASE, "load_cases[{}]", i)
         loads = sorted((node, tuple(force)) for node, *force in (
-            _fields(ld, f"{loc}.loads[{j}]", _LOAD) for j, ld in enumerate(raw_loads)))
+            _fields(ld, _LOAD, "load_cases[{}].loads[{}]", i, j)
+            for j, ld in enumerate(raw_loads)))
         cases.append(LoadCase(id=case_id, point_loads=tuple(loads)))
-    limits = [_fields(dl, f"displacement_limits[{i}]", _LIMIT)
+    limits = [_fields(dl, _LIMIT, "displacement_limits[{}]", i)
               for i, dl in enumerate(raw_limits or ())]
     return make_model(name, nodes, elements, groups, material, supports,
                       cases, limits)

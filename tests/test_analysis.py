@@ -293,3 +293,53 @@ def test_padded_solve_reads_fixed_dofs_as_positive_zero(name):
             u = case.displacements.reshape(-1)[fixed]
             assert (u == 0.0).all() and not np.signbit(u).any()
     assert an._rhs.tobytes() == rhs
+
+
+def _constraint_table_by_loop(model):
+    """(source, upper, lower, kind, where) of every constraint row in table
+    order: each element's stress row, followed by its buckling row if its
+    group buckles, then each displacement limit's rows in sorted (node,
+    dof) order. A displacement row's source is n_el plus the dof's row in
+    the padded solution, whose last row every fixed dof reads."""
+    n_el = model.n_elements
+    free = np.flatnonzero(~model.fixed_dof_mask()).tolist()
+    groups = {g.id: g for g in model.groups}
+    rows = []
+    for i, e in enumerate(model.elements):
+        g = groups[e.group]
+        rows.append((i, g.stress_tension_limit, -g.stress_compression_limit,
+                     "stress", {"element": e.id}))
+        if g.buckling is not None:
+            rows.append((i, np.inf, np.nan, "buckling", {"element": e.id}))
+    for dl in model.displacement_limits:
+        for nid in sorted(dl.nodes):
+            for dof in sorted(dl.dofs):
+                d = 3 * nid + "xyz".index(dof)
+                row = free.index(d) if d in free else len(free)
+                rows.append((n_el + row, dl.limit, -dl.limit,
+                             "displacement", {"node": nid, "dof": dof}))
+    return rows
+
+
+@pytest.mark.parametrize("name", benchmarks.builtin_names())
+def test_constraint_table_row_order(name):
+    model = benchmarks.get_builtin(name)
+    an = Analyzer(model)
+    rows = _constraint_table_by_loop(model)
+    source, upper, lower, kinds, where = zip(*rows)
+    assert an.row_source.tobytes() == np.array(source).tobytes()
+    assert an.row_upper.tobytes() == np.array(upper, dtype=float).tobytes()
+    assert an.row_lower.tobytes() == np.array(lower, dtype=float).tobytes()
+    mask = np.ones((len(model.load_cases), len(rows)), dtype=bool)
+    expected = [{"kind": kind, "case": lc.id, **w}
+                for lc in model.load_cases for kind, w in zip(kinds, where)]
+    labels = an.constraint_labels(mask)
+    assert labels == expected
+    # key order is what result.json prints
+    assert [list(label) for label in labels] == [list(e) for e in expected]
+    if name == "18bar":
+        assert list(kinds) == ["stress", "buckling"] * model.n_elements
+    if name in ("25bar", "72bar"):
+        pairs = [(w["node"], w["dof"]) for kind, w in zip(kinds, where)
+                 if kind == "displacement"]
+        assert pairs and pairs == sorted(pairs)

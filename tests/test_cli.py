@@ -4,8 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from trussopt import analysis, benchmarks
-from trussopt.cli import constraint_margins, main
+from trussopt import analysis, benchmarks, ga, hybrid
+from trussopt.cli import build_parser, constraint_margins, main
 from trussopt.io import serialize_model
 from trussopt.model import Material, MemberGroup, make_model
 from trussopt.penalty import evaluate_constraints
@@ -47,6 +47,75 @@ def test_verify_wrong_vector_length(capsys):
 def test_verify_non_numeric_areas(capsys):
     assert main(["verify", "--model", "builtin:10bar-case1",
                  "--areas", "a,b"]) == 1
+
+
+def _with_area(position, value):
+    """AREAS_10BAR with its entry at 1-based `position` set to `value`."""
+    areas = AREAS_10BAR.split(",")
+    areas[position - 1] = value
+    return ",".join(areas)
+
+
+@pytest.mark.parametrize("position, value", [
+    (1, "nan"), (1, "inf"), (3, "-inf"), (2, "-1"), (2, "-0.001"),
+])
+def test_verify_rejects_non_finite_or_negative_areas(capsys, position, value):
+    assert main(["verify", "--model", "builtin:10bar-case1",
+                 "--areas", _with_area(position, value)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: --areas entry {position} is "
+                            f"{float(value)!r}; areas must be finite and "
+                            f"non-negative\n")
+
+
+def test_verify_names_the_first_bad_area(capsys):
+    areas = _with_area(4, "nan").replace("23.2004", "-2", 1)
+    assert main(["verify", "--model", "builtin:10bar-case1",
+                 "--areas", areas]) == 1
+    assert "--areas entry 3 is -2.0;" in capsys.readouterr().err
+
+
+def test_verify_allows_a_zero_area(capsys):
+    assert main(["verify", "--model", "builtin:10bar-case1",
+                 "--areas", _with_area(2, "0")]) == 0
+    assert capsys.readouterr().out.startswith("weight: ")
+
+
+VERIFY_18BAR = ["verify", "--model", "builtin:18bar",
+                "--areas", "10,21.6506,12.5,7.0711"]
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_reused_parser_forgets_an_earlier_slack(capsys):
+    assert main([*VERIFY_18BAR, "--slack", "0.2"]) == 0
+    assert "(slack 20.0%)" in capsys.readouterr().out
+    assert main(VERIFY_18BAR) == 0
+    assert "(slack 0.5%)" in capsys.readouterr().out
+
+
+def test_usage_error_between_good_calls(capsys):
+    assert main(VERIFY_18BAR) == 0
+    first = capsys.readouterr().out
+    assert main(["verify", "--model", "builtin:18bar"]) == 1   # no --areas
+    assert "--areas" in capsys.readouterr().err
+    assert main(VERIFY_18BAR) == 0
+    assert capsys.readouterr().out == first
+
+
+def test_run_defaults_survive_a_verify(capsys):
+    defaults = {"command": "run", "model": "m.json", "seed": 0,
+                "generations": ga.GaParams().max_generations,
+                "population": ga.GaParams().population_size,
+                "tsa": hybrid.HybridParams().t_sa, "out": None}
+    args = vars(build_parser().parse_args(["run", "--model", "m.json"]))
+    assert {k: args[k] for k in defaults} == defaults
+    assert main([*VERIFY_18BAR, "--slack", "0.2"]) == 0
+    again = vars(build_parser().parse_args(["run", "--model", "m.json"]))
+    assert again == args
 
 
 def test_run_writes_artifacts(tmp_path, capsys):

@@ -231,3 +231,62 @@ def test_ids_must_be_contiguous(path, value, code):
         parse_model(json.dumps(_faulty(path, value)))
     assert exc.value.problems == [
         (code, f"{path[0]}: ids must be unique and contiguous from 0")]
+
+
+def _with_faults(name, *edits):
+    """The `name` document with several (path, value) edits applied, in
+    order; a value of _DELETE deletes the field."""
+    doc = _doc(name)
+    for path, value in edits:
+        *head, last = path
+        obj = doc
+        for key in head:
+            obj = obj[key]
+        if value is _DELETE:
+            del obj[last]
+        else:
+            obj[last] = value
+    return doc
+
+
+# (model, edits, the one fault parse_model reports): a document with
+# several faults reports the first one it reads
+SEVERAL_FAULTS = [
+    # an unknown key before a missing field of the same object
+    ("10bar-case1", [(("nodes", 3, "weight"), 5), (("nodes", 3, "x"), _DELETE)],
+     "nodes[3]: unknown key 'weight'"),
+    ("10bar-case1", [(("groups", 2, "area_min"), _DELETE),
+                     (("groups", 2, "color"), "red")],
+     "groups[2]: unknown key 'color'"),
+    # of two bad fields, the first in table order
+    ("10bar-case1", [(("nodes", 3, "z"), "up"), (("nodes", 3, "x"), "left")],
+     "nodes[3].x: expected a number"),
+    ("10bar-case1", [(("nodes", 3, "y"), "up"), (("nodes", 3, "x"), _DELETE)],
+     "nodes[3]: missing required field 'x'"),
+    ("10bar-case1", [(("nodes", 3, "y"), _DELETE), (("nodes", 3, "x"), "left")],
+     "nodes[3].x: expected a number"),
+    ("10bar-case1", [(("groups", 2, "buckling_k"), "k"),
+                     (("groups", 2, "stress_tension"), "high")],
+     "groups[2].stress_tension: expected a number or null"),
+    # an earlier object before a later one, a node before a group
+    ("10bar-case1", [(("nodes", 3, "x"), "left"), (("nodes", 1, "y"), _DELETE)],
+     "nodes[1]: missing required field 'y'"),
+    ("10bar-case1", [(("groups", 0, "area_min"), "tiny"),
+                     (("nodes", 3, "x"), "left")],
+     "nodes[3].x: expected a number"),
+    ("10bar-case1", [(("elements", 0, "a"), "one"), (("groups", 9), 5)],
+     "groups[9]: expected an object"),
+    # a nested location names its load case and its load
+    ("22bar", [(("load_cases", 1, "loads", 2, "fx"), "big"),
+               (("load_cases", 2, "loads", 0, "fy"), "big")],
+     "load_cases[1].loads[2].fx: expected a number"),
+]
+
+
+@pytest.mark.parametrize("name, edits, reported", SEVERAL_FAULTS,
+                         ids=[f[2] for f in SEVERAL_FAULTS])
+def test_first_of_several_faults_is_reported(name, edits, reported):
+    with pytest.raises(ParseError) as exc:
+        parse_model(json.dumps(_with_faults(name, *edits)))
+    assert str(exc.value) == reported
+    assert exc.value.location == reported.split(": ")[0]
