@@ -23,6 +23,7 @@ vector, so analyses may run concurrently.
 
 import weakref
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 from scipy.linalg.lapack import dpbtrf, dpbtrs
@@ -77,13 +78,11 @@ class Analyzer:
     """Per-model precomputation for fast repeated analysis."""
 
     def __init__(self, model: TrussModel):
-        coords = model.node_coords()
-        n_nodes = model.n_nodes
-        ndof = 3 * n_nodes
-
-        na = np.array([e.node_a for e in model.elements])
-        nb = np.array([e.node_b for e in model.elements])
-        delta = coords[nb] - coords[na]
+        ndof = 3 * model.n_nodes
+        # validate keeps every end inside 0..n_nodes-1, so int64 holds them
+        na, nb = (np.fromiter(map(itemgetter(end), model.elements), dtype=int,
+                              count=model.n_elements) for end in (0, 1))
+        delta = model.coords[nb] - model.coords[na]
         self.lengths = np.linalg.norm(delta, axis=1)
         if np.any(self.lengths < 1e-12):
             raise ZeroLengthElement("model contains a zero-length element")
@@ -188,7 +187,6 @@ class Analyzer:
         self.buckling_group = self.group_of[buckling_el]
         self.buckling_coeff = -K[self.buckling_group] * self.E
         self.buckling_L2 = self.lengths[buckling_el] ** 2
-        self._elements = model.elements     # for constraint_labels
         # flat indices of every (case, row) source, and the response columns
         # of the stresses and of all 3 * n_nodes dofs
         self._q_take = np.arange(n_cases)[:, None] * (n_el + n_pad) + self.row_source
@@ -292,8 +290,7 @@ class Analyzer:
         kinds = ["stress"] * n_member + ["displacement"] * len(self._limit_dofs)
         for r in self.buckling_row.tolist():
             kinds[r] = "buckling"
-        where = [{"element": self._elements[i].id}
-                 for i in self.row_source[:n_member].tolist()]
+        where = [{"element": i} for i in self.row_source[:n_member].tolist()]
         where += [{"node": d // 3, "dof": DOF_NAMES[d % 3]}
                   for d in self._limit_dofs.tolist()]
         return [{"kind": kinds[r], "case": self._case_ids[c], **where[r]}

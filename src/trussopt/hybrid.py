@@ -11,11 +11,12 @@ the victim). One deterministic generator drives everything, so a
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import analysis, annealing, ga
+from .penalty import default_penalty_params
 
 
 @dataclass
@@ -80,12 +81,11 @@ def run(model, params, seed=None, max_evaluations=None):
     """Full H-SAGA run. `max_evaluations` optionally caps the analysis
     budget (used for budget-matched comparisons). A mechanism raises
     ModelError before any design is drawn."""
-    from .penalty import default_penalty_params
     t0 = time.perf_counter()
     analysis.reject_mechanism(model)
     ga_params = params.ga
     if seed is not None:
-        ga_params = ga.GaParams(**{**ga_params.__dict__, "seed": seed})
+        ga_params = replace(ga_params, seed=seed)
     penalty_params = params.penalty or default_penalty_params(model)
 
     pop = ga.init_population(model, ga_params, penalty_params)
@@ -158,8 +158,7 @@ def compare_plain_ga(model, params, seeds):
         rec_h = run(model, params, seed=seed)
         # give the plain GA the hybrid's budget (extra generations allowed)
         budget = rec_h.total_evaluations
-        plain_ga = ga.GaParams(**{**params.ga.__dict__,
-                                  "max_generations": 10 ** 9})
+        plain_ga = replace(params.ga, max_generations=10 ** 9)
         rec_p = run(model, HybridParams(t_sa=math.inf, ga=plain_ga,
                                         sa=params.sa, penalty=params.penalty),
                     seed=seed, max_evaluations=budget)

@@ -171,16 +171,16 @@ def serialize_model(model):
             "elastic_modulus": model.material.elastic_modulus,
             "weight_density": model.material.weight_density,
         },
-        "nodes": [{"id": n.id, "x": n.coords[0], "y": n.coords[1],
-                   "z": n.coords[2]} for n in model.nodes],
+        "nodes": [{"id": i, "x": x, "y": y, "z": z}
+                  for i, (x, y, z) in enumerate(model.coords.tolist())],
         "groups": [
             {"id": g.id, "area_min": g.area_min, "area_max": g.area_max,
              "stress_tension": _limit_out(g.stress_tension_limit),
              "stress_compression": _limit_out(g.stress_compression_limit),
              **({"buckling_k": g.buckling.K} if g.buckling is not None else {})}
             for g in model.groups],
-        "elements": [{"id": e.id, "a": e.node_a, "b": e.node_b,
-                      "group": e.group} for e in model.elements],
+        "elements": [{"id": i, "a": a, "b": b, "group": g}
+                     for i, (a, b, g) in enumerate(model.elements)],
         "supports": [{"node": s.node, "fixed": sorted(s.fixed_dofs)}
                      for s in model.supports],
         "load_cases": [
@@ -199,7 +199,7 @@ def models_equal(a, b):
     """Semantic equality of two models (identity-compared dataclasses)."""
     return (a.name == b.name
             and a.material == b.material
-            and tuple(n.coords for n in a.nodes) == tuple(n.coords for n in b.nodes)
+            and a.coords.tolist() == b.coords.tolist()
             and a.elements == b.elements
             and a.groups == b.groups
             and a.supports == b.supports

@@ -2,12 +2,16 @@
 
 Units are imperial throughout: coordinates in inches, areas in in^2,
 forces in kips, stresses in ksi, weight density in lb/in^3, weight in lb.
-Planar models simply keep every z coordinate and z load at zero;
-make_model then fixes the z dofs through their supports.
+Nodes are the rows of one read-only (n_nodes, 3) coordinate array and
+elements are (node_a, node_b, group_id) triples of Python ints; a node's
+or an element's id is its position. Planar models simply keep every z
+coordinate and z load at zero; make_model then fixes the z dofs through
+their supports.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional
 
 import numpy as np
@@ -35,20 +39,6 @@ class ValidationError(ModelError):
     def __init__(self, problems):
         self.problems = list(problems)
         super().__init__("; ".join(f"{code}: {msg}" for code, msg in self.problems))
-
-
-@dataclass(frozen=True)
-class Node:
-    id: int
-    coords: tuple  # (x, y, z) in inches
-
-
-@dataclass(frozen=True)
-class Element:
-    id: int
-    node_a: int
-    node_b: int
-    group: int
 
 
 @dataclass(frozen=True)
@@ -97,12 +87,12 @@ class TrussModel:
     """Complete immutable truss definition.
 
     Instances are compared by identity (eq=False) so they stay hashable
-    and can key per-model caches; content equality is rarely useful and
-    numpy-laden fields would make it awkward.
+    and key per-model caches such as analysis.get_analyzer's;
+    io.models_equal compares content.
     """
     name: str
-    nodes: tuple
-    elements: tuple
+    coords: np.ndarray   # (n_nodes, 3) inches, read-only; row i is node i
+    elements: tuple      # (node_a, node_b, group_id) ints; element i
     groups: tuple
     material: Material
     supports: tuple
@@ -112,7 +102,7 @@ class TrussModel:
 
     @property
     def n_nodes(self):
-        return len(self.nodes)
+        return len(self.coords)
 
     @property
     def n_elements(self):
@@ -122,14 +112,6 @@ class TrussModel:
     def n_groups(self):
         return len(self.groups)
 
-    def node_coords(self):
-        """(n_nodes, 3) array of coordinates ordered by node id."""
-        return np.array([n.coords for n in self.nodes], dtype=float)
-
-    def group_index(self):
-        """Map group id -> position in the design vector (sorted by id)."""
-        return {g.id: i for i, g in enumerate(self.groups)}
-
     def area_bounds(self):
         """(lower, upper) arrays, one entry per group, design-vector order."""
         lo = np.array([g.area_min for g in self.groups], dtype=float)
@@ -138,8 +120,10 @@ class TrussModel:
 
     def element_group_indices(self):
         """Design-vector index of every element's group, element order."""
-        gidx = self.group_index()
-        return np.array([gidx[e.group] for e in self.elements], dtype=int)
+        position = {g.id: i for i, g in enumerate(self.groups)}
+        return np.fromiter(map(position.__getitem__,
+                               map(itemgetter(2), self.elements)),
+                           dtype=int, count=len(self.elements))
 
     def clamp(self, areas):
         """Clamp a design vector into the per-group area bounds."""
@@ -159,28 +143,21 @@ def make_model(name, nodes, elements, groups, material, supports, load_cases,
                displacement_limits=(), provenance=""):
     """Build and validate a TrussModel from plain python data.
 
-    nodes: list of (x, y, z) or (x, y); ids assigned 0..n-1 in order.
-    elements: list of (node_a, node_b, group_id); ids assigned in order.
+    nodes: list of (x, y, z) or (x, y); row i of model.coords is node i.
+    elements: list of (node_a, node_b, group_id); element i is the i-th.
     groups: list of MemberGroup.
     supports: list of (node_id, "xy" / "xyz" / iterable of dof names).
     load_cases: list of {node_id: (fx, fy, fz)} or list of LoadCase.
     displacement_limits: list of (node_ids, dofs, limit) or DisplacementLimit.
 
-    Planar models (all z == 0, no z loads) get their z dofs fixed
-    automatically on every node.
+    Planar models (all z == 0, no z loads) get one support per node: z
+    fixed, unioned with every entry that names the node. An entry that
+    names no node is kept after them, for validate to report.
     """
-    node_objs = []
-    planar = True
-    for i, c in enumerate(nodes):
-        c = tuple(float(v) for v in c)
-        if len(c) == 2:
-            c = c + (0.0,)
-        if c[2] != 0.0:
-            planar = False
-        node_objs.append(Node(id=i, coords=c))
-
-    elem_objs = tuple(Element(id=i, node_a=int(a), node_b=int(b), group=int(g))
-                      for i, (a, b, g) in enumerate(elements))
+    rows = [c if len(c) == 3 else (*c, 0.0) for c in nodes]
+    coords = np.array(rows, dtype=float).reshape(len(rows), 3)
+    coords.flags.writeable = False
+    elements = tuple((int(a), int(b), int(g)) for a, b, g in elements)
 
     case_objs = []
     for i, lc in enumerate(load_cases):
@@ -196,21 +173,21 @@ def make_model(name, nodes, elements, groups, material, supports, load_cases,
         loads.sort()
         case_objs.append(LoadCase(id=i, point_loads=tuple(loads)))
 
-    planar = planar and all(f[2] == 0.0 for lc in case_objs
-                            for _, f in lc.point_loads)
+    planar = not coords[:, 2].any() and all(
+        f[2] == 0.0 for lc in case_objs for _, f in lc.point_loads)
 
-    support_objs = []
-    support_nodes = {}
-    for node_id, dofs in supports:
-        dofs = frozenset(dofs)
-        support_nodes[int(node_id)] = dofs
-        support_objs.append(SupportSpec(node=int(node_id), fixed_dofs=dofs))
+    support_objs = [SupportSpec(node=int(node_id), fixed_dofs=frozenset(dofs))
+                    for node_id, dofs in supports]
     if planar:
-        # fix z everywhere; merge with any explicit support on the node
-        support_objs = []
-        for i in range(len(node_objs)):
-            dofs = support_nodes.get(i, frozenset()) | {"z"}
-            support_objs.append(SupportSpec(node=i, fixed_dofs=frozenset(dofs)))
+        fixed = [{"z"} for _ in rows]
+        dangling = []
+        for s in support_objs:
+            if 0 <= s.node < len(rows):
+                fixed[s.node] |= s.fixed_dofs
+            else:
+                dangling.append(s)
+        support_objs = [SupportSpec(node=i, fixed_dofs=frozenset(dofs))
+                        for i, dofs in enumerate(fixed)] + dangling
 
     dl_objs = []
     for dl in displacement_limits:
@@ -224,8 +201,8 @@ def make_model(name, nodes, elements, groups, material, supports, load_cases,
 
     model = TrussModel(
         name=name,
-        nodes=tuple(node_objs),
-        elements=elem_objs,
+        coords=coords,
+        elements=elements,
         groups=tuple(sorted(groups, key=lambda g: g.id)),
         material=material,
         supports=tuple(support_objs),
@@ -245,36 +222,29 @@ def validate(model):
     problems = []
     n = model.n_nodes
 
-    ids = [nd.id for nd in model.nodes]
-    if ids != list(range(n)):
-        problems.append(("BadNodeIds", f"node ids must be contiguous from 0, got {ids}"))
-    xyz = model.node_coords().reshape(n, 3)
-    for nd, finite in zip(model.nodes, np.isfinite(xyz).all(axis=1)):
-        if not finite:
-            problems.append(("NonFiniteCoords", f"node {nd.id} has non-finite coordinates"))
+    for i in np.flatnonzero(~np.isfinite(model.coords).all(axis=1)).tolist():
+        problems.append(("NonFiniteCoords", f"node {i} has non-finite coordinates"))
 
     group_ids = {g.id for g in model.groups}
-    # every element length in one vectorized norm; a repeated node id
-    # names its last node, and an end that names no node reads the zero
-    # row appended to the coordinates (such a length is not checked)
-    row = {nd.id: i for i, nd in enumerate(model.nodes)}
-    xyz = np.vstack([xyz, np.zeros(3)])
-    ends = np.array([(row.get(e.node_a, n), row.get(e.node_b, n))
-                     for e in model.elements], dtype=int).reshape(-1, 2)
+    # every element length in one vectorized norm; an end that names no
+    # node reads the zero row appended to the coordinates (such a length
+    # is not checked)
+    xyz = np.vstack([model.coords, np.zeros(3)])
+    ends = np.array([(a if 0 <= a < n else n, b if 0 <= b < n else n)
+                     for a, b, _ in model.elements], dtype=int).reshape(-1, 2)
     lengths = np.linalg.norm(xyz[ends[:, 1]] - xyz[ends[:, 0]], axis=1)
     used_groups = set()
-    for i, e in enumerate(model.elements):
-        if e.node_a == e.node_b:
-            problems.append(("ZeroLengthElement", f"element {e.id} connects node {e.node_a} to itself"))
-        for nid in (e.node_a, e.node_b):
+    for i, (a, b, gid) in enumerate(model.elements):
+        if a == b:
+            problems.append(("ZeroLengthElement", f"element {i} connects node {a} to itself"))
+        for nid in (a, b):
             if not (0 <= nid < n):
-                problems.append(("DanglingReference", f"element {e.id} references missing node {nid}"))
-        if e.group not in group_ids:
-            problems.append(("DanglingReference", f"element {e.id} references missing group {e.group}"))
-        used_groups.add(e.group)
-        if e.node_a in row and e.node_b in row and e.node_a != e.node_b:
-            if lengths[i] < 1e-12:
-                problems.append(("ZeroLengthElement", f"element {e.id} has zero length"))
+                problems.append(("DanglingReference", f"element {i} references missing node {nid}"))
+        if gid not in group_ids:
+            problems.append(("DanglingReference", f"element {i} references missing group {gid}"))
+        used_groups.add(gid)
+        if a != b and 0 <= a < n and 0 <= b < n and lengths[i] < 1e-12:
+            problems.append(("ZeroLengthElement", f"element {i} has zero length"))
 
     for g in model.groups:
         if not all(map(math.isfinite, (g.area_min, g.area_max))):

@@ -35,7 +35,7 @@ class PenaltyParams:
             raise ValueError("beta_exp must be non-negative")
 
 
-def default_penalty_params(model, beta_exp=1.0):
+def default_penalty_params(model):
     """Self-scaling alpha: the weight of the all-areas-at-max design.
 
     A unit total violation then roughly doubles the objective of a
@@ -43,7 +43,7 @@ def default_penalty_params(model, beta_exp=1.0):
     """
     _, area_max = model.area_bounds()
     alpha = analysis.structure_weight(model, area_max)
-    return PenaltyParams(alpha=alpha, beta_exp=beta_exp)
+    return PenaltyParams(alpha=alpha)
 
 
 def evaluate_constraints(result):

@@ -7,9 +7,9 @@ import pytest
 
 from trussopt import benchmarks, io
 from trussopt.analysis import (Analyzer, SingularStructure, analyze,
-                               structure_weight)
+                               reject_mechanism, structure_weight)
 from trussopt.model import (BucklingSpec, LoadCase, Material, MemberGroup,
-                            make_model)
+                            ModelError, make_model)
 from trussopt.penalty import evaluate_constraints
 
 
@@ -79,15 +79,15 @@ def _dense(band):
 
 def _reference_stiffness(model, areas):
     """Reduced stiffness assembled element by element in dense storage."""
-    coords = model.node_coords()
+    coords = model.coords
     group = model.element_group_indices()
     K = np.zeros((3 * model.n_nodes,) * 2)
-    for i, e in enumerate(model.elements):
-        delta = coords[e.node_b] - coords[e.node_a]
+    for i, (a, b, _) in enumerate(model.elements):
+        delta = coords[b] - coords[a]
         L = np.linalg.norm(delta)
         k = (model.material.elastic_modulus * areas[group[i]] / L
              * np.outer(delta, delta) / L ** 2)
-        dofs = np.r_[3 * e.node_a:3 * e.node_a + 3, 3 * e.node_b:3 * e.node_b + 3]
+        dofs = np.r_[3 * a:3 * a + 3, 3 * b:3 * b + 3]
         K[np.ix_(dofs, dofs)] += np.block([[k, -k], [-k, k]])
     free = ~model.fixed_dof_mask()
     return K[np.ix_(free, free)]
@@ -228,6 +228,13 @@ def test_evaluate_is_analyze_plus_evaluate_constraints(name):
         assert total == evaluate_constraints(result).total
 
 
+def test_model_without_elements_is_a_mechanism():
+    bare = make_model("bare", [(0, 0), (100, 0)], [], [], Material(1e4, 0.1),
+                      [(0, "xy")], [{1: (5.0, 0.0)}])
+    with pytest.raises(ModelError, match="bare is a mechanism"):
+        reject_mechanism(bare)
+
+
 def test_evaluate_raises_exactly_where_factorize_does():
     # a square frame without a diagonal is a mechanism at every design; a
     # pitched pair of bars goes numerically singular when one bar is some
@@ -305,12 +312,12 @@ def _constraint_table_by_loop(model):
     free = np.flatnonzero(~model.fixed_dof_mask()).tolist()
     groups = {g.id: g for g in model.groups}
     rows = []
-    for i, e in enumerate(model.elements):
-        g = groups[e.group]
+    for i, (_, _, gid) in enumerate(model.elements):
+        g = groups[gid]
         rows.append((i, g.stress_tension_limit, -g.stress_compression_limit,
-                     "stress", {"element": e.id}))
+                     "stress", {"element": i}))
         if g.buckling is not None:
-            rows.append((i, np.inf, np.nan, "buckling", {"element": e.id}))
+            rows.append((i, np.inf, np.nan, "buckling", {"element": i}))
     for dl in model.displacement_limits:
         for nid in sorted(dl.nodes):
             for dof in sorted(dl.dofs):

@@ -228,6 +228,32 @@ def test_huge_integer_literal_exit_2(tmp_path, capsys):
         in capsys.readouterr().err
 
 
+def test_planar_support_naming_no_node_exit_2(tmp_path, capsys):
+    doc = json.loads(serialize_model(benchmarks.get_builtin("10bar-case1")))
+    doc["supports"].append({"node": 99, "fixed": ["x", "y"]})
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps(doc))
+    assert main(["verify", "--model", str(p), "--areas", AREAS_10BAR]) == 2
+    assert "DanglingReference: support references missing node 99" \
+        in capsys.readouterr().err
+
+
+def test_split_planar_support_prints_as_the_whole_one(tmp_path, capsys):
+    doc = json.loads(serialize_model(benchmarks.get_builtin("10bar-case1")))
+    whole, split = tmp_path / "whole.json", tmp_path / "split.json"
+    whole.write_text(json.dumps(doc))
+    assert doc["supports"][4] == {"node": 4, "fixed": ["x", "y", "z"]}
+    doc["supports"][4]["fixed"] = ["x", "z"]
+    doc["supports"].append({"node": 4, "fixed": ["y"]})
+    split.write_text(json.dumps(doc))
+    outputs = []
+    for p in (whole, split):
+        assert main(["verify", "--model", str(p), "--areas", AREAS_10BAR]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    assert "feasible: yes" in outputs[0].out
+
+
 def test_z_load_on_a_flat_truss_exit_2(tmp_path, capsys):
     bar = make_model("bar", [(0, 0), (100, 0)], [(0, 1, 0)],
                      [MemberGroup(0, 0.5, 5.0, 30.0, 30.0)],

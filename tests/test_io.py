@@ -233,6 +233,21 @@ def test_ids_must_be_contiguous(path, value, code):
         (code, f"{path[0]}: ids must be unique and contiguous from 0")]
 
 
+def test_huge_int_references_stay_python_ints():
+    # an element end beyond int64 names no node; a group id beyond it is
+    # as good as any other
+    with pytest.raises(ValidationError) as exc:
+        parse_model(json.dumps(_faulty(("elements", 2, "a"), 10 ** 30)))
+    assert exc.value.problems == [
+        ("DanglingReference", f"element 2 references missing node {10 ** 30}")]
+    doc = _doc()
+    doc["groups"][9]["id"] = doc["elements"][9]["group"] = 10 ** 30
+    model = parse_model(json.dumps(doc))
+    assert model.elements[9][2] == 10 ** 30
+    assert model.element_group_indices()[9] == 9
+    assert models_equal(parse_model(serialize_model(model)), model)
+
+
 def _with_faults(name, *edits):
     """The `name` document with several (path, value) edits applied, in
     order; a value of _DELETE deletes the field."""

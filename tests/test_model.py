@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from trussopt.model import (Material, MemberGroup, ValidationError,
@@ -27,14 +28,24 @@ def test_planar_models_fix_z_everywhere():
     m = _make()
     for s in m.supports:
         assert "z" in s.fixed_dofs
-    assert all(n.coords[2] == 0.0 for n in m.nodes)
+    assert (m.coords[:, 2] == 0.0).all()
+
+
+def test_coords_are_one_read_only_float_array():
+    m = _make(nodes=[(0, 0), (100, 0, 0), (50, 80)])
+    assert m.coords.dtype == np.float64 and m.coords.shape == (3, 3)
+    assert m.coords.tolist() == [[0.0, 0.0, 0.0], [100.0, 0.0, 0.0],
+                                 [50.0, 80.0, 0.0]]
+    with pytest.raises(ValueError):
+        m.coords[0, 0] = 1.0
+    assert m.elements == ((0, 1, 0),)
 
 
 def test_explicit_3d_coordinates_kept():
     m = make_model("t3", [(0, 0, 0), (0, 0, 100), (100, 0, 100)],
                    [(0, 1, 0), (1, 2, 0), (0, 2, 0)], _groups(),
                    MAT, [(0, "xyz"), (2, "xyz")], [{1: (0, 5, -5)}])
-    assert m.nodes[1].coords == (0.0, 0.0, 100.0)
+    assert m.coords[1].tolist() == [0.0, 0.0, 100.0]
     assert m.fixed_dof_mask().sum() == 6
 
 
@@ -154,3 +165,27 @@ def test_problems_are_reported_in_model_order():
         ("DanglingReference", "element 5 references missing node 9"),
         ("DanglingReference", "element 6 references missing group 3"),
         ("ZeroLengthElement", "element 6 has zero length")]
+
+
+def test_planar_supports_union_every_entry_of_a_node():
+    m = _make(supports=[(0, "x"), (1, "y"), (0, ["y"])])
+    assert [(s.node, s.fixed_dofs) for s in m.supports] == [
+        (0, frozenset("xyz")), (1, frozenset("yz"))]
+
+
+def test_planar_support_naming_no_node_rejected():
+    with pytest.raises(ValidationError) as exc:
+        _make(supports=[(0, "xy"), (9, "xy"), (1, "y"), (-1, "w")])
+    assert exc.value.problems == [
+        ("DanglingReference", "support references missing node 9"),
+        ("DanglingReference", "support references missing node -1"),
+        ("UnknownDof", "support on node -1 fixes unknown dofs ['w']")]
+
+
+def test_3d_supports_keep_every_entry():
+    m = make_model("t3", [(0, 0, 0), (0, 0, 100), (100, 0, 100)],
+                   [(0, 1, 0), (1, 2, 0), (0, 2, 0)], _groups(),
+                   MAT, [(0, "xy"), (2, "xyz"), (0, "z")], [{1: (0, 5, -5)}])
+    assert [(s.node, s.fixed_dofs) for s in m.supports] == [
+        (0, frozenset("xy")), (2, frozenset("xyz")), (0, frozenset("z"))]
+    assert m.fixed_dof_mask().sum() == 6
