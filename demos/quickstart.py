@@ -16,8 +16,8 @@ model = make_model(
     nodes=[(0, 0), (0, 120), (140, 60)],
     elements=[(0, 2, 0), (1, 2, 0), (0, 1, 1)],
     groups=[
-        MemberGroup(0, 0.1, 20.0, 25.0, 25.0),
-        MemberGroup(1, 0.1, 20.0, 25.0, 25.0),
+        MemberGroup(0.1, 20.0, 25.0, 25.0),
+        MemberGroup(0.1, 20.0, 25.0, 25.0),
     ],
     material=Material(10000.0, 0.1),
     supports=[(0, "xy"), (1, "xy")],

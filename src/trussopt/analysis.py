@@ -126,12 +126,12 @@ class Analyzer:
         # with one more row of zeros: pbtrs takes n from the band, so it
         # leaves that row alone, and every fixed dof reads it
         n_cases = len(model.load_cases)
-        case = np.array([j for j, lc in enumerate(model.load_cases)
-                         for _ in lc.point_loads], dtype=int)
-        node = np.array([nid for lc in model.load_cases
-                         for nid, _ in lc.point_loads], dtype=int)
-        forces = np.array([f for lc in model.load_cases
-                           for _, f in lc.point_loads], dtype=float)
+        case = np.array([j for j, loads in enumerate(model.load_cases)
+                         for _ in loads], dtype=int)
+        node = np.array([nid for loads in model.load_cases
+                         for nid, _ in loads], dtype=int)
+        forces = np.array([f for loads in model.load_cases
+                           for _, f in loads], dtype=float)
         F = np.zeros((ndof, n_cases))
         np.add.at(F, (3 * node[:, None] + np.arange(3), case[:, None]),
                   forces.reshape(-1, 3))
@@ -191,7 +191,6 @@ class Analyzer:
         # of the stresses and of all 3 * n_nodes dofs
         self._q_take = np.arange(n_cases)[:, None] * (n_el + n_pad) + self.row_source
         self._response_cols = np.concatenate((np.arange(n_el), n_el + dof_row))
-        self._case_ids = tuple(lc.id for lc in model.load_cases)
 
     def structure_weight(self, areas):
         """Total weight: density * sum over elements of area * length."""
@@ -285,7 +284,8 @@ class Analyzer:
 
     def constraint_labels(self, mask):
         """The label of each true entry of an (n_cases, n_rows) mask, in
-        row-major order: kind, load case, and element or node/dof."""
+        row-major order: kind, load case (its position), and element or
+        node/dof."""
         n_member = len(self.row_source) - len(self._limit_dofs)
         kinds = ["stress"] * n_member + ["displacement"] * len(self._limit_dofs)
         for r in self.buckling_row.tolist():
@@ -293,8 +293,9 @@ class Analyzer:
         where = [{"element": i} for i in self.row_source[:n_member].tolist()]
         where += [{"node": d // 3, "dof": DOF_NAMES[d % 3]}
                   for d in self._limit_dofs.tolist()]
-        return [{"kind": kinds[r], "case": self._case_ids[c], **where[r]}
-                for c, r in zip(*np.nonzero(mask))]
+        cases, rows = np.nonzero(mask)
+        return [{"kind": kinds[r], "case": c, **where[r]}
+                for c, r in zip(cases.tolist(), rows.tolist())]
 
 
 _analyzers = weakref.WeakKeyDictionary()

@@ -33,7 +33,7 @@ def _ten_bar(case):
     nodes = [(720, 360), (720, 0), (360, 360), (360, 0), (0, 360), (0, 0)]
     elements = [(2, 4, 0), (0, 2, 1), (3, 5, 2), (1, 3, 3), (2, 3, 4),
                 (0, 1, 5), (3, 4, 6), (2, 5, 7), (1, 2, 8), (0, 3, 9)]
-    groups = [MemberGroup(i, 0.1, 35.0, 25.0, 25.0) for i in range(10)]
+    groups = [MemberGroup(0.1, 35.0, 25.0, 25.0)] * 10
     if case == 1:
         loads = [{1: (0, -100), 3: (0, -100)}]
     else:
@@ -55,7 +55,7 @@ def _seventeen_bar():
             (5, 6)]
     elements = [(a, b, i) for i, (a, b) in enumerate(conn)]
     inf = float("inf")
-    groups = [MemberGroup(i, 0.1, 30.0, inf, inf) for i in range(17)]
+    groups = [MemberGroup(0.1, 30.0, inf, inf)] * 17
     return make_model(
         "17bar", nodes, elements, groups, Material(30000.0, 0.268),
         [(0, "xy"), (1, "xy")], [{8: (0, -100)}], [(range(2, 9), "xy", 2.0)],
@@ -77,8 +77,7 @@ def _eighteen_bar():
             3: 2, 7: 2, 11: 2, 15: 2,
             5: 3, 9: 3, 13: 3, 17: 3}
     elements = [(a, b, gmap[i + 1]) for i, (a, b) in enumerate(conn)]
-    groups = [MemberGroup(i, 0.1, 50.0, 20.0, 20.0, BucklingSpec(4.0))
-              for i in range(4)]
+    groups = [MemberGroup(0.1, 50.0, 20.0, 20.0, BucklingSpec(4.0))] * 4
     loads = [{n: (0, -20) for n in (0, 1, 3, 5, 7)}]
     return make_model(
         "18bar", nodes, elements, groups, Material(10000.0, 0.1),
@@ -107,7 +106,7 @@ def _twenty_five_bar():
     elements = [(a, b, g) for g, conns in enumerate(conn_groups)
                 for a, b in conns]
     comp = [35.092, 11.590, 17.305, 35.092, 35.092, 6.759, 6.959, 11.082]
-    groups = [MemberGroup(i, 0.01, 3.4, 40.0, comp[i]) for i in range(8)]
+    groups = [MemberGroup(0.01, 3.4, 40.0, c) for c in comp]
     loads = [{0: (0, 20, -5), 1: (0, -20, -5)},
              {0: (1, 10, -5), 1: (0, 10, -5), 2: (0.5, 0, 0), 5: (0.5, 0, 0)}]
     return make_model(
@@ -140,7 +139,7 @@ def _seventy_two_bar():
             elements.append((t[k], t[(k + 1) % 4], g0 + 2))
         elements.append((t[0], t[2], g0 + 3))
         elements.append((t[1], t[3], g0 + 3))
-    groups = [MemberGroup(i, 0.1, 3.0, 25.0, 25.0) for i in range(16)]
+    groups = [MemberGroup(0.1, 3.0, 25.0, 25.0)] * 16
     loads = [{16: (5, 5, -5)},
              {16: (0, 0, -5), 17: (0, 0, -5), 18: (0, 0, -5), 19: (0, 0, -5)}]
     return make_model(
@@ -197,7 +196,7 @@ def _two_hundred_bar():
     add(r[0], sup1, 27); add(r[1], sup1, 28); add(r[2], sup1, 27)
     add(r[2], sup2, 27); add(r[3], sup2, 28); add(r[4], sup2, 27)
 
-    groups = [MemberGroup(i, 0.1, 20.0, 10.0, 10.0) for i in range(29)]
+    groups = [MemberGroup(0.1, 20.0, 10.0, 10.0)] * 29
     # loaded node sets of the standard benchmark (0-based)
     xl = [0, 5, 14, 19, 28, 33, 42, 47, 56, 61, 70]
     yl = [n - 1 for n in
@@ -240,7 +239,7 @@ def _twenty_two_bar():
         (0, 4, 6), (1, 5, 6), (2, 6, 6), (3, 7, 6),
     ]
     comp = [24.0, 30.0, 28.0, 26.0, 22.0, 20.0, 18.0]
-    groups = [MemberGroup(i, 0.1, 10.0, 36.0, comp[i]) for i in range(7)]
+    groups = [MemberGroup(0.1, 10.0, 36.0, c) for c in comp]
     loads = [{0: (-20, 0, -5), 1: (-20, 0, -5),
               2: (-20, 0, -30), 3: (-20, 0, -30)},
              {0: (-20, -5, 0), 1: (-20, -50, 0),

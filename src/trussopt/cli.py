@@ -8,10 +8,12 @@ Subcommands:
 
 Exit codes: 0 success, 1 usage error, 2 model error, 3 runtime error.
 `verify` rejects an area vector with a non-finite or negative entry as a
-usage error; a zero entry (a removed member) is allowed. The argument
-parser is built on the first `main` call and reused by every later call
-in the process: parsing fills a fresh namespace and never writes to the
-parser.
+usage error; a zero entry (a removed member) is allowed. `run` and
+`compare` reject optimizer parameters that GaParams or HybridParams
+refuse (say `--tsa 2.5` or `--population 5`) as usage errors too, before
+they read the model. The argument parser is built on the first `main`
+call and reused by every later call in the process: parsing fills a
+fresh namespace and never writes to the parser.
 """
 
 import argparse
@@ -78,8 +80,7 @@ def write_convergence_csv(path, history):
 def _hybrid_params(args):
     ga_params = ga.GaParams(
         population_size=args.population,
-        max_generations=args.generations,
-        seed=args.seed)
+        max_generations=args.generations)
     return hybrid.HybridParams(t_sa=args.tsa, ga=ga_params,
                                sa=annealing.SaParams())
 
@@ -104,8 +105,7 @@ def _result_document(model, record):
 
 
 def cmd_run(args, model):
-    params = _hybrid_params(args)
-    record = hybrid.run(model, params, seed=args.seed)
+    record = hybrid.run(model, args.params, seed=args.seed)
     out = args.out or os.path.join("runs", f"{model.name}-seed{args.seed}")
     os.makedirs(out, exist_ok=True)
     write_convergence_csv(os.path.join(out, "convergence.csv"), record.history)
@@ -139,9 +139,8 @@ def cmd_compare(args, model):
     if args.seeds < 5:
         print("error: --seeds must be >= 5", file=sys.stderr)
         return 1
-    params = _hybrid_params(args)
     seeds = list(range(args.seed, args.seed + args.seeds))
-    summary = hybrid.compare_plain_ga(model, params, seeds)
+    summary = hybrid.compare_plain_ga(model, args.params, seeds)
     print("seed  hybrid_weight  plain_weight")
     for s, hw, pw in zip(summary.seeds, summary.hybrid_weights,
                          summary.plain_weights):
@@ -240,12 +239,16 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 1
-    if args.command == "verify":
-        try:
+    # bad --areas and optimizer parameters are usage errors, found before
+    # the model is read
+    try:
+        if args.command == "verify":
             args.areas = _parse_areas(args.areas)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        elif args.command in ("run", "compare"):
+            args.params = _hybrid_params(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     try:
         model_stage = True
         # resolve the model first so model errors map to exit code 2

@@ -38,11 +38,12 @@ class GaParams:
     mutation_sigma_fraction: float = 0.1
     elite_count: int = 1
     max_generations: int = 200
-    seed: int = 0
 
     def __post_init__(self):
         if self.population_size < 10:
             raise ValueError("population_size must be >= 10")
+        if self.max_generations < 0:
+            raise ValueError("max_generations must be >= 0")
         if not 0 <= self.elite_count < self.population_size:
             raise ValueError("elite_count must be < population_size")
 
@@ -60,10 +61,12 @@ class Population:
 def evaluate_design(model, areas, penalty_params, iteration):
     """Analyze one clamped design (Analyzer.evaluate); analysis failure
     maps to +inf objective."""
+    an = analysis.get_analyzer(model)
     try:
-        areas, weight, total = analysis.get_analyzer(model).evaluate(areas)
+        areas, weight, total = an.evaluate(areas)
     except analysis.AnalysisError:
-        return Individual(design=model.clamp(areas), weight=np.inf,
+        design = clamp(np.asarray(areas, dtype=float), an.area_lo, an.area_hi)
+        return Individual(design=design, weight=np.inf,
                           violation_total=np.inf, penalized=np.inf,
                           evaluated_at_generation=iteration)
     F = penalized_objective(weight, total, penalty_params, iteration)
@@ -88,8 +91,8 @@ def uniform_box(rng, low, high):
     return low + (high - low) * rng.random(len(low))
 
 
-def init_population(model, ga_params, penalty_params):
-    rng = np.random.default_rng(ga_params.seed)
+def init_population(model, ga_params, penalty_params, seed):
+    rng = np.random.default_rng(seed)
     lo, hi = model.area_bounds()
     individuals = []
     for _ in range(ga_params.population_size):

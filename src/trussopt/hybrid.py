@@ -21,14 +21,17 @@ from .penalty import default_penalty_params
 
 @dataclass
 class HybridParams:
-    t_sa: float = 1             # generations between SA launches; inf = plain GA
+    t_sa: float = 1             # generations between SA launches, a whole
+                                # number; inf = plain GA
     ga: "ga.GaParams" = field(default_factory=ga.GaParams)
     sa: "annealing.SaParams" = field(default_factory=annealing.SaParams)
     penalty: object = None      # PenaltyParams; None = self-scaling default
 
     def __post_init__(self):
-        if self.t_sa < 1:
-            raise ValueError("t_sa must be >= 1")
+        if not (self.t_sa == math.inf
+                or (self.t_sa >= 1 and self.t_sa == int(self.t_sa))):
+            raise ValueError(f"t_sa must be a whole number >= 1 or inf, "
+                             f"got {self.t_sa!r}")
 
 
 @dataclass
@@ -77,18 +80,16 @@ def _track_best(current, current_feasible, candidate):
     return current, current_feasible
 
 
-def run(model, params, seed=None, max_evaluations=None):
+def run(model, params, seed=0, max_evaluations=None):
     """Full H-SAGA run. `max_evaluations` optionally caps the analysis
     budget (used for budget-matched comparisons). A mechanism raises
     ModelError before any design is drawn."""
     t0 = time.perf_counter()
     analysis.reject_mechanism(model)
     ga_params = params.ga
-    if seed is not None:
-        ga_params = replace(ga_params, seed=seed)
     penalty_params = params.penalty or default_penalty_params(model)
 
-    pop = ga.init_population(model, ga_params, penalty_params)
+    pop = ga.init_population(model, ga_params, penalty_params, seed)
     evals = len(pop.individuals)
     best, best_feasible = None, False
     for ind in pop.individuals:
@@ -134,7 +135,7 @@ def run(model, params, seed=None, max_evaluations=None):
     return RunRecord(history=history, best=best, best_is_feasible=best_feasible,
                      total_evaluations=evals,
                      wall_time=time.perf_counter() - t0,
-                     seed=ga_params.seed)
+                     seed=seed)
 
 
 @dataclass

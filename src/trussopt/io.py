@@ -1,15 +1,17 @@
 """JSON model documents: parsing with located diagnostics, serialization.
 
-The document schema mirrors the TrussModel structure one to one. Parsing
-is strict: unknown keys are rejected and every diagnostic names the path
-of the offending field (e.g. "nodes[3].x"), so files can be fixed
-without reading tracebacks.
+The document schema mirrors the TrussModel structure one to one, except
+that nodes, elements, groups and load cases carry an "id": a document may
+list them in any order, but must number each kind 0..n-1, once each, and
+the model keeps them at those positions. Parsing is strict: unknown keys
+are rejected and every diagnostic names the path of the offending field
+(e.g. "nodes[3].x"), so files can be fixed without reading tracebacks.
 """
 
 import json
 
-from .model import (DOF_NAMES, BucklingSpec, LoadCase, Material, MemberGroup,
-                    ModelError, ValidationError, make_model)
+from .model import (DOF_NAMES, BucklingSpec, Material, MemberGroup, ModelError,
+                    ValidationError, make_model)
 
 
 class ParseError(ModelError):
@@ -136,11 +138,11 @@ def parse_model(text):
     material = Material(*_fields(mat, _MATERIAL, "material"))
     nodes = _by_id([_fields(nd, _NODE, "nodes[{}]", i)
                     for i, nd in enumerate(raw_nodes)], "nodes", "BadNodeIds")
-    groups = [MemberGroup(gid, area_min, area_max, tension, compression,
+    groups = [MemberGroup(area_min, area_max, tension, compression,
                           None if k is None else BucklingSpec(K=k))
-              for gid, area_min, area_max, tension, compression, k in (
-                  _fields(g, _GROUP, "groups[{}]", i, optional=("buckling_k",))
-                  for i, g in enumerate(raw_groups))]
+              for area_min, area_max, tension, compression, k in _by_id(
+                  [_fields(g, _GROUP, "groups[{}]", i, optional=("buckling_k",))
+                   for i, g in enumerate(raw_groups)], "groups", "BadGroupIds")]
     elements = _by_id([_fields(e, _ELEMENT, "elements[{}]", i)
                        for i, e in enumerate(raw_elements)], "elements", "BadIds")
     supports = [_fields(s, _SUPPORT, "supports[{}]", i)
@@ -148,10 +150,10 @@ def parse_model(text):
     cases = []
     for i, lc in enumerate(raw_cases):
         case_id, raw_loads = _fields(lc, _LOAD_CASE, "load_cases[{}]", i)
-        loads = sorted((node, tuple(force)) for node, *force in (
+        cases.append((case_id, [(node, force) for node, *force in (
             _fields(ld, _LOAD, "load_cases[{}].loads[{}]", i, j)
-            for j, ld in enumerate(raw_loads)))
-        cases.append(LoadCase(id=case_id, point_loads=tuple(loads)))
+            for j, ld in enumerate(raw_loads))]))
+    cases = [loads for loads, in _by_id(cases, "load_cases", "BadCaseIds")]
     limits = [_fields(dl, _LIMIT, "displacement_limits[{}]", i)
               for i, dl in enumerate(raw_limits or ())]
     return make_model(name, nodes, elements, groups, material, supports,
@@ -174,20 +176,20 @@ def serialize_model(model):
         "nodes": [{"id": i, "x": x, "y": y, "z": z}
                   for i, (x, y, z) in enumerate(model.coords.tolist())],
         "groups": [
-            {"id": g.id, "area_min": g.area_min, "area_max": g.area_max,
+            {"id": i, "area_min": g.area_min, "area_max": g.area_max,
              "stress_tension": _limit_out(g.stress_tension_limit),
              "stress_compression": _limit_out(g.stress_compression_limit),
              **({"buckling_k": g.buckling.K} if g.buckling is not None else {})}
-            for g in model.groups],
+            for i, g in enumerate(model.groups)],
         "elements": [{"id": i, "a": a, "b": b, "group": g}
                      for i, (a, b, g) in enumerate(model.elements)],
         "supports": [{"node": s.node, "fixed": sorted(s.fixed_dofs)}
                      for s in model.supports],
         "load_cases": [
-            {"id": lc.id,
+            {"id": i,
              "loads": [{"node": nid, "fx": f[0], "fy": f[1], "fz": f[2]}
-                       for nid, f in lc.point_loads]}
-            for lc in model.load_cases],
+                       for nid, f in loads]}
+            for i, loads in enumerate(model.load_cases)],
         "displacement_limits": [
             {"nodes": sorted(dl.nodes), "dofs": sorted(dl.dofs),
              "limit": dl.limit} for dl in model.displacement_limits],

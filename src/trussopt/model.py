@@ -2,9 +2,11 @@
 
 Units are imperial throughout: coordinates in inches, areas in in^2,
 forces in kips, stresses in ksi, weight density in lb/in^3, weight in lb.
-Nodes are the rows of one read-only (n_nodes, 3) coordinate array and
-elements are (node_a, node_b, group_id) triples of Python ints; a node's
-or an element's id is its position. Planar models simply keep every z
+Nodes are the rows of one read-only (n_nodes, 3) coordinate array,
+elements are (node_a, node_b, group) triples of Python ints, and a load
+case is a tuple of (node, (fx, fy, fz)) pairs. Every id is a position:
+node i is row i, element i, group i (design variable i) and load case i
+are the i-th entries of their tuples. Planar models simply keep every z
 coordinate and z load at zero; make_model then fixes the z dofs through
 their supports.
 """
@@ -49,7 +51,6 @@ class BucklingSpec:
 
 @dataclass(frozen=True)
 class MemberGroup:
-    id: int
     area_min: float
     area_max: float
     stress_tension_limit: float      # ksi, magnitude (> 0, may be inf)
@@ -70,12 +71,6 @@ class SupportSpec:
 
 
 @dataclass(frozen=True)
-class LoadCase:
-    id: int
-    point_loads: tuple  # of (node_id, (fx, fy, fz)) in kips
-
-
-@dataclass(frozen=True)
 class DisplacementLimit:
     nodes: frozenset   # node ids
     dofs: frozenset    # subset of {"x", "y", "z"}
@@ -92,11 +87,11 @@ class TrussModel:
     """
     name: str
     coords: np.ndarray   # (n_nodes, 3) inches, read-only; row i is node i
-    elements: tuple      # (node_a, node_b, group_id) ints; element i
-    groups: tuple
+    elements: tuple      # (node_a, node_b, group) ints; element i
+    groups: tuple        # MemberGroup; group i is design variable i
     material: Material
     supports: tuple
-    load_cases: tuple
+    load_cases: tuple    # per case, sorted (node, (fx, fy, fz)) pairs in kips
     displacement_limits: tuple = ()
     provenance: str = ""
 
@@ -119,16 +114,9 @@ class TrussModel:
         return lo, hi
 
     def element_group_indices(self):
-        """Design-vector index of every element's group, element order."""
-        position = {g.id: i for i, g in enumerate(self.groups)}
-        return np.fromiter(map(position.__getitem__,
-                               map(itemgetter(2), self.elements)),
-                           dtype=int, count=len(self.elements))
-
-    def clamp(self, areas):
-        """Clamp a design vector into the per-group area bounds."""
-        lo, hi = self.area_bounds()
-        return clamp(np.asarray(areas, dtype=float), lo, hi)
+        """Design-vector index (the group) of every element, element order."""
+        return np.fromiter(map(itemgetter(2), self.elements), dtype=int,
+                           count=len(self.elements))
 
     def fixed_dof_mask(self):
         """Boolean (n_nodes * 3,) mask of dofs eliminated by supports."""
@@ -144,11 +132,13 @@ def make_model(name, nodes, elements, groups, material, supports, load_cases,
     """Build and validate a TrussModel from plain python data.
 
     nodes: list of (x, y, z) or (x, y); row i of model.coords is node i.
-    elements: list of (node_a, node_b, group_id); element i is the i-th.
-    groups: list of MemberGroup.
-    supports: list of (node_id, "xy" / "xyz" / iterable of dof names).
-    load_cases: list of {node_id: (fx, fy, fz)} or list of LoadCase.
-    displacement_limits: list of (node_ids, dofs, limit) or DisplacementLimit.
+    elements: list of (node_a, node_b, group); element i is the i-th.
+    groups: list of MemberGroup; group i is the i-th.
+    supports: list of (node, "xy" / "xyz" / iterable of dof names).
+    load_cases: list of {node: (fx, fy, fz)} or of lists of (node, (fx,
+        fy, fz)) pairs, which may repeat a node; case i is the i-th, a 2-D
+        force gets fz = 0, and each case keeps its loads sorted.
+    displacement_limits: list of (nodes, dofs, limit).
 
     Planar models (all z == 0, no z loads) get one support per node: z
     fixed, unioned with every entry that names the node. An entry that
@@ -159,22 +149,17 @@ def make_model(name, nodes, elements, groups, material, supports, load_cases,
     coords.flags.writeable = False
     elements = tuple((int(a), int(b), int(g)) for a, b, g in elements)
 
-    case_objs = []
-    for i, lc in enumerate(load_cases):
-        if isinstance(lc, LoadCase):
-            case_objs.append(lc)
-            continue
-        loads = []
-        for node_id, f in lc.items():
-            f = tuple(float(v) for v in f)
-            if len(f) == 2:
-                f = f + (0.0,)
-            loads.append((int(node_id), f))
-        loads.sort()
-        case_objs.append(LoadCase(id=i, point_loads=tuple(loads)))
+    def load(node, force):
+        f = tuple(map(float, force))
+        return int(node), f + (0.0,) if len(f) == 2 else f
+
+    cases = tuple(
+        tuple(sorted(load(node, f) for node, f in
+                     (lc.items() if isinstance(lc, dict) else lc)))
+        for lc in load_cases)
 
     planar = not coords[:, 2].any() and all(
-        f[2] == 0.0 for lc in case_objs for _, f in lc.point_loads)
+        f[2] == 0.0 for loads in cases for _, f in loads)
 
     support_objs = [SupportSpec(node=int(node_id), fixed_dofs=frozenset(dofs))
                     for node_id, dofs in supports]
@@ -189,25 +174,19 @@ def make_model(name, nodes, elements, groups, material, supports, load_cases,
         support_objs = [SupportSpec(node=i, fixed_dofs=frozenset(dofs))
                         for i, dofs in enumerate(fixed)] + dangling
 
-    dl_objs = []
-    for dl in displacement_limits:
-        if isinstance(dl, DisplacementLimit):
-            dl_objs.append(dl)
-        else:
-            node_ids, dofs, limit = dl
-            dl_objs.append(DisplacementLimit(nodes=frozenset(int(n) for n in node_ids),
-                                             dofs=frozenset(dofs),
-                                             limit=float(limit)))
+    limits = tuple(DisplacementLimit(nodes=frozenset(map(int, node_ids)),
+                                     dofs=frozenset(dofs), limit=float(limit))
+                   for node_ids, dofs, limit in displacement_limits)
 
     model = TrussModel(
         name=name,
         coords=coords,
         elements=elements,
-        groups=tuple(sorted(groups, key=lambda g: g.id)),
+        groups=tuple(groups),
         material=material,
         supports=tuple(support_objs),
-        load_cases=tuple(case_objs),
-        displacement_limits=tuple(dl_objs),
+        load_cases=cases,
+        displacement_limits=limits,
         provenance=provenance,
     )
     return validate(model)
@@ -225,7 +204,7 @@ def validate(model):
     for i in np.flatnonzero(~np.isfinite(model.coords).all(axis=1)).tolist():
         problems.append(("NonFiniteCoords", f"node {i} has non-finite coordinates"))
 
-    group_ids = {g.id for g in model.groups}
+    n_groups = model.n_groups
     # every element length in one vectorized norm; an end that names no
     # node reads the zero row appended to the coordinates (such a length
     # is not checked)
@@ -234,29 +213,29 @@ def validate(model):
                      for a, b, _ in model.elements], dtype=int).reshape(-1, 2)
     lengths = np.linalg.norm(xyz[ends[:, 1]] - xyz[ends[:, 0]], axis=1)
     used_groups = set()
-    for i, (a, b, gid) in enumerate(model.elements):
+    for i, (a, b, g) in enumerate(model.elements):
         if a == b:
             problems.append(("ZeroLengthElement", f"element {i} connects node {a} to itself"))
         for nid in (a, b):
             if not (0 <= nid < n):
                 problems.append(("DanglingReference", f"element {i} references missing node {nid}"))
-        if gid not in group_ids:
-            problems.append(("DanglingReference", f"element {i} references missing group {gid}"))
-        used_groups.add(gid)
+        if not (0 <= g < n_groups):
+            problems.append(("DanglingReference", f"element {i} references missing group {g}"))
+        used_groups.add(g)
         if a != b and 0 <= a < n and 0 <= b < n and lengths[i] < 1e-12:
             problems.append(("ZeroLengthElement", f"element {i} has zero length"))
 
-    for g in model.groups:
+    for i, g in enumerate(model.groups):
         if not all(map(math.isfinite, (g.area_min, g.area_max))):
-            problems.append(("NonFiniteBound", f"group {g.id} has a non-finite area bound"))
+            problems.append(("NonFiniteBound", f"group {i} has a non-finite area bound"))
         elif not (0 < g.area_min <= g.area_max):
-            problems.append(("NonPositiveLimit", f"group {g.id} needs 0 < area_min <= area_max"))
+            problems.append(("NonPositiveLimit", f"group {i} needs 0 < area_min <= area_max"))
         if not (g.stress_tension_limit > 0 and g.stress_compression_limit > 0):
-            problems.append(("NonPositiveLimit", f"group {g.id} stress limits must be positive"))
+            problems.append(("NonPositiveLimit", f"group {i} stress limits must be positive"))
         if g.buckling is not None and not g.buckling.K > 0:
-            problems.append(("NonPositiveLimit", f"group {g.id} buckling constant must be positive"))
-        if g.id not in used_groups:
-            problems.append(("EmptyGroup", f"group {g.id} has no elements"))
+            problems.append(("NonPositiveLimit", f"group {i} buckling constant must be positive"))
+        if i not in used_groups:
+            problems.append(("EmptyGroup", f"group {i} has no elements"))
 
     if not (model.material.elastic_modulus > 0 and model.material.weight_density > 0):
         problems.append(("NonPositiveLimit", "material constants must be positive"))
@@ -268,17 +247,17 @@ def validate(model):
         if bad:
             problems.append(("UnknownDof", f"support on node {s.node} fixes unknown dofs {sorted(bad, key=str)}"))
 
-    for lc in model.load_cases:
+    for j, loads in enumerate(model.load_cases):
         any_nonzero = False
-        for nid, f in lc.point_loads:
+        for nid, f in loads:
             if not (0 <= nid < n):
-                problems.append(("DanglingReference", f"load case {lc.id} references missing node {nid}"))
+                problems.append(("DanglingReference", f"load case {j} references missing node {nid}"))
             if any(v != 0.0 for v in f):
                 any_nonzero = True
             if not all(map(math.isfinite, f)):
-                problems.append(("NonFiniteLoad", f"load case {lc.id} has a non-finite load on node {nid}"))
+                problems.append(("NonFiniteLoad", f"load case {j} has a non-finite load on node {nid}"))
         if not any_nonzero:
-            problems.append(("NonPositiveLimit", f"load case {lc.id} has no nonzero load"))
+            problems.append(("NonPositiveLimit", f"load case {j} has no nonzero load"))
 
     for dl in model.displacement_limits:
         if not dl.limit > 0:

@@ -11,7 +11,7 @@ def single_bar():
         "single-bar",
         nodes=[(0, 0), (100, 0)],
         elements=[(0, 1, 0)],
-        groups=[MemberGroup(0, 0.5, 5.0, 30.0, 30.0)],
+        groups=[MemberGroup(0.5, 5.0, 30.0, 30.0)],
         material=Material(10000.0, 0.1),
         supports=[(0, "xy"), (1, "y")],
         load_cases=[{1: (10.0, 0.0)}],
@@ -25,7 +25,7 @@ def two_bar():
         "two-bar",
         nodes=[(0, 0), (80, 60), (160, 0)],
         elements=[(0, 1, 0), (1, 2, 0)],
-        groups=[MemberGroup(0, 0.5, 5.0, 30.0, 30.0)],
+        groups=[MemberGroup(0.5, 5.0, 30.0, 30.0)],
         material=Material(10000.0, 0.1),
         supports=[(0, "xy"), (2, "xy")],
         load_cases=[{1: (0.0, -12.0)}],

@@ -35,7 +35,7 @@ def test_criterion_1_fem_analytic_checks():
     # single axial bar: u = PL/AE, sigma = P/A
     bar = make_model(
         "bar", [(0, 0), (100, 0)], [(0, 1, 0)],
-        [MemberGroup(0, 0.1, 10.0, 1e9, 1e9)],
+        [MemberGroup(0.1, 10.0, 1e9, 1e9)],
         Material(10000.0, 0.1), [(0, "xy"), (1, "y")], [{1: (10.0, 0.0)}])
     res = analysis.analyze(bar, [2.0])
     assert abs(res.cases[0].displacements[1, 0] - 10.0 * 100 / (2 * 10000)) \
@@ -45,7 +45,7 @@ def test_criterion_1_fem_analytic_checks():
     # two-bar pitched truss vs hand statics (3-4-5 geometry)
     two = make_model(
         "two", [(0, 0), (80, 60), (160, 0)], [(0, 1, 0), (1, 2, 0)],
-        [MemberGroup(0, 0.1, 10.0, 1e9, 1e9)],
+        [MemberGroup(0.1, 10.0, 1e9, 1e9)],
         Material(10000.0, 0.1), [(0, "xy"), (2, "xy")], [{1: (0.0, -12.0)}])
     s = analysis.analyze(two, [1.5]).cases[0].element_stresses
     expected = -(6.0 / 0.6) / 1.5

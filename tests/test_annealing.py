@@ -133,7 +133,7 @@ def test_convex_surrogate_reaches_grid_optimum():
 
 def test_sa_run_freezes_penalty_iteration(small_model):
     pp = PenaltyParams(alpha=100.0)
-    pop = init_population(small_model, GaParams(population_size=10, seed=0), pp)
+    pop = init_population(small_model, GaParams(population_size=10), pp, 0)
     order = sorted(pop.individuals, key=lambda i: i.penalized)
     best, trace = sa_run(order[0], order[:10], small_model, SaParams(),
                          pp, frozen_iteration=7, rng=np.random.default_rng(0))

@@ -6,8 +6,8 @@ import pytest
 
 from trussopt import analysis, benchmarks, ga, hybrid
 from trussopt.cli import build_parser, constraint_margins, main
-from trussopt.io import serialize_model
-from trussopt.model import Material, MemberGroup, make_model
+from trussopt.io import parse_model, serialize_model
+from trussopt.model import Material, MemberGroup, ValidationError, make_model
 from trussopt.penalty import evaluate_constraints
 
 AREAS_10BAR = ("30.5091,0.1000,23.2004,15.1926,0.1000,"
@@ -173,7 +173,7 @@ def test_mechanism_model_is_model_error(tmp_path, capsys):
     mech = make_model(
         "mech", [(0, 0), (100, 0), (100, 100), (0, 100)],
         [(0, 1, 0), (1, 2, 0), (2, 3, 0), (3, 0, 0)],
-        [MemberGroup(0, 0.1, 10.0, 25.0, 25.0)],
+        [MemberGroup(0.1, 10.0, 25.0, 25.0)],
         Material(10000.0, 0.1), [(0, "xy"), (1, "y")], [{2: (5.0, 0.0)}])
     p = tmp_path / "mech.json"
     p.write_text(serialize_model(mech))
@@ -228,6 +228,47 @@ def test_huge_integer_literal_exit_2(tmp_path, capsys):
         in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, edits, areas, code", [
+    # two groups numbered 8, the second with its element: design variable
+    # 9 would have no members
+    ("10bar-case1", [(("groups", 9, "id"), 8), (("elements", 9, "group"), 8)],
+     AREAS_10BAR, "BadGroupIds"),
+    # two load cases numbered 0
+    ("25bar", [(("load_cases", 1, "id"), 0)], "1,1,1,1,1,1,1,1", "BadCaseIds"),
+], ids=["two-groups-numbered-8", "two-cases-numbered-0"])
+def test_repeated_group_or_case_id_exit_2(tmp_path, capsys, name, edits,
+                                          areas, code):
+    doc = json.loads(serialize_model(benchmarks.get_builtin(name)))
+    for (kind, i, key), value in edits:
+        doc[kind][i][key] = value
+    text = json.dumps(doc)
+    loc = edits[0][0][0]
+    with pytest.raises(ValidationError) as exc:
+        parse_model(text)
+    assert exc.value.problems == [
+        (code, f"{loc}: ids must be unique and contiguous from 0")]
+    p = tmp_path / "m.json"
+    p.write_text(text)
+    assert main(["verify", "--model", str(p), "--areas", areas]) == 2
+    assert f"{code}: {loc}: ids must be unique" in capsys.readouterr().err
+
+
+BAD_OPTIMIZER_OPTIONS = [["--tsa", "nan"], ["--tsa", "2.5"], ["--tsa", "0"],
+                         ["--generations", "-3"], ["--population", "5"]]
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("option", BAD_OPTIMIZER_OPTIONS,
+                         ids=[" ".join(o) for o in BAD_OPTIMIZER_OPTIONS])
+def test_bad_optimizer_parameters_exit_1(tmp_path, capsys, command, option):
+    out = tmp_path / "out"
+    argv = [command, "--model", "builtin:10bar-case1", "--out", str(out),
+            *option]
+    assert main(argv) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_planar_support_naming_no_node_exit_2(tmp_path, capsys):
     doc = json.loads(serialize_model(benchmarks.get_builtin("10bar-case1")))
     doc["supports"].append({"node": 99, "fixed": ["x", "y"]})
@@ -256,7 +297,7 @@ def test_split_planar_support_prints_as_the_whole_one(tmp_path, capsys):
 
 def test_z_load_on_a_flat_truss_exit_2(tmp_path, capsys):
     bar = make_model("bar", [(0, 0), (100, 0)], [(0, 1, 0)],
-                     [MemberGroup(0, 0.5, 5.0, 30.0, 30.0)],
+                     [MemberGroup(0.5, 5.0, 30.0, 30.0)],
                      Material(10000.0, 0.1), [(0, "xy"), (1, "y")],
                      [{1: (10.0, 0.0, 7.0)}])
     p = tmp_path / "bar.json"
@@ -277,7 +318,7 @@ def test_margins_are_the_penalty_rows(name):
     kinds = {label["kind"] for label in labels}
     assert ("buckling" in kinds) == (name == "18bar")
     # displacement rows run in sorted (node, dof) order within a case
-    for case in model.load_cases:
+    for case in range(len(model.load_cases)):
         where = [(label["node"], label["dof"]) for label in labels
-                 if label["kind"] == "displacement" and label["case"] == case.id]
+                 if label["kind"] == "displacement" and label["case"] == case]
         assert where == sorted(where)

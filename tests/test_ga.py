@@ -26,13 +26,18 @@ def test_params_reject_tiny_population():
         GaParams(population_size=9)
 
 
+def test_params_reject_negative_generations():
+    with pytest.raises(ValueError):
+        GaParams(max_generations=-3)
+
+
 def test_default_mutation_rate_is_one_over_n():
     assert GaParams().resolved_mutation_rate(8) == pytest.approx(1 / 8)
     assert GaParams(mutation_rate=0.3).resolved_mutation_rate(8) == 0.3
 
 
 def test_init_population_within_bounds_and_evaluated(small_model):
-    pop = init_population(small_model, GaParams(population_size=20, seed=3), PP)
+    pop = init_population(small_model, GaParams(population_size=20), PP, 3)
     lo, hi = small_model.area_bounds()
     assert pop.generation == 0
     for ind in pop.individuals:
@@ -125,8 +130,8 @@ def test_mutation_respects_bounds():
 
 
 def test_elites_survive_verbatim(small_model):
-    params = GaParams(population_size=12, elite_count=2, seed=1)
-    pop = init_population(small_model, params, PP)
+    params = GaParams(population_size=12, elite_count=2)
+    pop = init_population(small_model, params, PP, 1)
     order = sorted(pop.individuals, key=lambda i: i.penalized)
     nxt = step_generation(pop, small_model, params, PP)
     assert nxt.generation == 1
@@ -138,8 +143,8 @@ def test_elites_survive_verbatim(small_model):
 def test_best_monotone_with_elitism(small_model):
     # beta_exp = 0 makes F comparable across generations
     pp = PenaltyParams(alpha=100.0, beta_exp=0.0)
-    params = GaParams(population_size=15, elite_count=1, seed=4)
-    pop = init_population(small_model, params, pp)
+    params = GaParams(population_size=15, elite_count=1)
+    pop = init_population(small_model, params, pp, 4)
     best = pop.individuals[best_index(pop)].penalized
     for _ in range(15):
         pop = step_generation(pop, small_model, params, pp)
@@ -149,8 +154,8 @@ def test_best_monotone_with_elitism(small_model):
 
 
 def test_generation_counter_advances(small_model):
-    params = GaParams(population_size=10, seed=0)
-    pop = init_population(small_model, params, PP)
+    params = GaParams(population_size=10)
+    pop = init_population(small_model, params, PP, 0)
     for g in range(1, 4):
         pop = step_generation(pop, small_model, params, PP)
         assert pop.generation == g

@@ -24,15 +24,21 @@ def _pop_from_values(values, seed=0):
                       rng=np.random.default_rng(seed))
 
 
-def _small_params(generations=8, t_sa=3, pop=10, seed=0):
+def _small_params(generations=8, t_sa=3, pop=10):
     return HybridParams(t_sa=t_sa,
                         ga=GaParams(population_size=pop,
-                                    max_generations=generations, seed=seed))
+                                    max_generations=generations))
 
 
 def test_params_reject_t_sa_below_one():
     with pytest.raises(ValueError):
         HybridParams(t_sa=0)
+
+
+@pytest.mark.parametrize("t_sa", [math.nan, 2.5])
+def test_params_reject_t_sa_not_a_whole_number(t_sa):
+    with pytest.raises(ValueError, match="whole number"):
+        HybridParams(t_sa=t_sa)
 
 
 def test_victim_never_best_and_frequencies_match():
@@ -99,16 +105,16 @@ def test_sa_runs_on_schedule(small_model):
 
 def test_infinite_t_sa_is_plain_ga(small_model):
     rec = run(small_model, HybridParams(
-        t_sa=math.inf, ga=GaParams(population_size=10, max_generations=6,
-                                   seed=3)), seed=3)
+        t_sa=math.inf, ga=GaParams(population_size=10, max_generations=6)),
+        seed=3)
     assert not any(st.sa_ran for st in rec.history)
 
 
 def test_t_sa_beyond_max_generations_matches_plain_ga(small_model):
     far = run(small_model, _small_params(generations=6, t_sa=50), seed=9)
     plain = run(small_model, HybridParams(
-        t_sa=math.inf, ga=GaParams(population_size=10, max_generations=6,
-                                   seed=9)), seed=9)
+        t_sa=math.inf, ga=GaParams(population_size=10, max_generations=6)),
+        seed=9)
     np.testing.assert_array_equal(far.best.design, plain.best.design)
     assert far.total_evaluations == plain.total_evaluations
 
@@ -151,7 +157,7 @@ def test_mechanism_is_model_error_before_the_run():
     mech = make_model(
         "mech", [(0, 0), (100, 0), (100, 100), (0, 100)],
         [(0, 1, 0), (1, 2, 0), (2, 3, 0), (3, 0, 0)],
-        [MemberGroup(0, 0.1, 10.0, 25.0, 25.0)],
+        [MemberGroup(0.1, 10.0, 25.0, 25.0)],
         Material(10000.0, 0.1), [(0, "xy"), (1, "y")], [{2: (5.0, 0.0)}])
     with pytest.raises(ModelError, match="mechanism"):
         run(mech, _small_params(generations=2), seed=0)
@@ -161,7 +167,7 @@ def test_z_load_on_a_flat_truss_is_a_mechanism():
     # a z load makes the model 3-D, so no z support is added and the bar
     # cannot carry it
     bar = make_model("bar", [(0, 0), (100, 0)], [(0, 1, 0)],
-                     [MemberGroup(0, 0.5, 5.0, 30.0, 30.0)],
+                     [MemberGroup(0.5, 5.0, 30.0, 30.0)],
                      Material(10000.0, 0.1), [(0, "xy"), (1, "y")],
                      [{1: (10.0, 0.0, 7.0)}])
     with pytest.raises(ModelError, match="mechanism"):

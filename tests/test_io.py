@@ -225,6 +225,9 @@ def test_displacement_limit_nodes_are_node_ids(nodes):
     (("nodes", 5, "id"), 6, "BadNodeIds"),
     (("elements", 0, "id"), 9, "BadIds"),
     (("elements", 3, "id"), -1, "BadIds"),
+    (("groups", 9, "id"), 8, "BadGroupIds"),
+    (("groups", 0, "id"), 10, "BadGroupIds"),
+    (("load_cases", 0, "id"), 1, "BadCaseIds"),
 ])
 def test_ids_must_be_contiguous(path, value, code):
     with pytest.raises(ValidationError) as exc:
@@ -234,18 +237,17 @@ def test_ids_must_be_contiguous(path, value, code):
 
 
 def test_huge_int_references_stay_python_ints():
-    # an element end beyond int64 names no node; a group id beyond it is
-    # as good as any other
+    # an element end beyond int64 names no node, and a group reference
+    # beyond it names no group
     with pytest.raises(ValidationError) as exc:
         parse_model(json.dumps(_faulty(("elements", 2, "a"), 10 ** 30)))
     assert exc.value.problems == [
         ("DanglingReference", f"element 2 references missing node {10 ** 30}")]
-    doc = _doc()
-    doc["groups"][9]["id"] = doc["elements"][9]["group"] = 10 ** 30
-    model = parse_model(json.dumps(doc))
-    assert model.elements[9][2] == 10 ** 30
-    assert model.element_group_indices()[9] == 9
-    assert models_equal(parse_model(serialize_model(model)), model)
+    with pytest.raises(ValidationError) as exc:
+        parse_model(json.dumps(_faulty(("elements", 9, "group"), 10 ** 30)))
+    assert exc.value.problems == [
+        ("DanglingReference", f"element 9 references missing group {10 ** 30}"),
+        ("EmptyGroup", "group 9 has no elements")]
 
 
 def _with_faults(name, *edits):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from trussopt.model import (Material, MemberGroup, ValidationError,
+from trussopt.model import (Material, MemberGroup, ValidationError, clamp,
                             make_model, validate)
 
 
@@ -9,10 +9,9 @@ def _groups(n=1, **kw):
     defaults = dict(area_min=0.1, area_max=10.0,
                     stress_tension_limit=25.0, stress_compression_limit=25.0)
     defaults.update(kw)
-    return [MemberGroup(i, defaults["area_min"], defaults["area_max"],
+    return [MemberGroup(defaults["area_min"], defaults["area_max"],
                         defaults["stress_tension_limit"],
-                        defaults["stress_compression_limit"])
-            for i in range(n)]
+                        defaults["stress_compression_limit"])] * n
 
 
 MAT = Material(10000.0, 0.1)
@@ -53,8 +52,8 @@ def test_area_bounds_and_clamp():
     m = _make()
     lo, hi = m.area_bounds()
     assert lo.tolist() == [0.1] and hi.tolist() == [10.0]
-    assert m.clamp([25.0]).tolist() == [10.0]
-    assert m.clamp([0.0]).tolist() == [0.1]
+    assert clamp(np.array([25.0]), lo, hi).tolist() == [10.0]
+    assert clamp(np.array([0.0]), lo, hi).tolist() == [0.1]
 
 
 def test_zero_length_element_rejected():
@@ -83,7 +82,7 @@ def test_empty_group_rejected():
 
 def test_bad_area_bounds_rejected():
     with pytest.raises(ValidationError) as exc:
-        _make(groups=[MemberGroup(0, 5.0, 1.0, 25.0, 25.0)])
+        _make(groups=[MemberGroup(5.0, 1.0, 25.0, 25.0)])
     assert any(code == "NonPositiveLimit" for code, _ in exc.value.problems)
 
 
@@ -106,7 +105,7 @@ def test_all_dofs_fixed_rejected():
 def test_all_problems_collected_not_just_first():
     with pytest.raises(ValidationError) as exc:
         _make(elements=[(0, 0, 0), (0, 9, 5)],
-              groups=[MemberGroup(0, 0.1, 10.0, -1.0, 25.0)])
+              groups=[MemberGroup(0.1, 10.0, -1.0, 25.0)])
     codes = {code for code, _ in exc.value.problems}
     assert {"ZeroLengthElement", "DanglingReference",
             "NonPositiveLimit"} <= codes

@@ -12,7 +12,7 @@ def test_overstress_normalized_magnitude(single_bar):
     # 30 ksi against a 25 ksi tension limit must register S = 0.2
     m = make_model(
         "over", [(0, 0), (100, 0)], [(0, 1, 0)],
-        [MemberGroup(0, 0.1, 10.0, 25.0, 25.0)],
+        [MemberGroup(0.1, 10.0, 25.0, 25.0)],
         Material(10000.0, 0.1), [(0, "xy"), (1, "y")], [{1: (30.0, 0.0)}])
     res = analysis.analyze(m, [1.0])
     report = evaluate_constraints(res)
@@ -76,7 +76,7 @@ def test_default_alpha_is_all_max_weight(two_bar):
 def test_displacement_constraint_enters_report():
     m = make_model(
         "disp", [(0, 0), (100, 0)], [(0, 1, 0)],
-        [MemberGroup(0, 0.1, 10.0, 1e6, 1e6)],
+        [MemberGroup(0.1, 10.0, 1e6, 1e6)],
         Material(10000.0, 0.1), [(0, "xy"), (1, "y")], [{1: (10.0, 0.0)}],
         [([1], "x", 0.05)])
     res = analysis.analyze(m, [1.0])  # u = 0.1 in > 0.05 in
@@ -88,7 +88,7 @@ def test_buckling_constraint_uses_area_dependent_limit():
     # compression 10 ksi; Euler bound -K E A / L^2 = -4 ksi at A = 1
     m = make_model(
         "buck", [(0, 0), (100, 0)], [(0, 1, 0)],
-        [MemberGroup(0, 0.1, 10.0, 100.0, 100.0, BucklingSpec(1.0))],
+        [MemberGroup(0.1, 10.0, 100.0, 100.0, BucklingSpec(1.0))],
         Material(10000.0, 0.1), [(1, "xy"), (0, "y")], [{0: (10.0, 0.0)}])
     res = analysis.analyze(m, [1.0])
     assert res.cases[0].element_stresses[0] == pytest.approx(-10.0, rel=1e-10)
