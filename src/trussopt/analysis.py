@@ -17,8 +17,17 @@ case, and the normalized margin of every constraint row with the
 in-force mask; labels for those rows are built only on request. The
 optimizer's evaluation (`Analyzer.evaluate`) goes from areas to (weight,
 violation total) through the same solve and margins without building a
-response array or a result object. Everything is pure in the design
-vector, so analyses may run concurrently.
+response array or a result object. `Analyzer.evaluate_many` evaluates a
+batch of designs: it factors and solves each one on its own (every
+singularity check stays in `factorize`) and runs the element take, the
+stresses, the margins and the in-force mask once over the stack. Its
+contract is bit identity: each design's entry is exactly what `evaluate`
+returns for it, or None where `evaluate` raises. Stacking keeps that
+because those kernels are elementwise or sum each row of six on its own,
+and each weight and violation total is its own sum over the same 1-D
+sequence as in `evaluate`; one sum along an axis of the stack would
+change last bits. Everything is pure in the design vector, so analyses
+may run concurrently.
 """
 
 import weakref
@@ -249,6 +258,53 @@ class Analyzer:
         # the same 1-D sequence as margins[in_force], so the same sum
         g = margins.ravel() if in_force is None else margins[in_force]
         return areas, self.structure_weight(areas), float(np.maximum(g, 0.0).sum())
+
+    def evaluate_many(self, designs):
+        """`evaluate` over the rows of a (B, n_groups) array: a list with
+        what `evaluate` returns for each design, bit for bit, or None
+        where it raises. Each design is factored and solved on its own;
+        the rest of `_margins` runs once over the stack of solutions, and
+        each weight and violation total is its own sum over the 1-D
+        sequence that `evaluate` sums."""
+        areas = clamp(np.asarray(designs, dtype=float), self.area_lo, self.area_hi)
+        B = len(areas)
+        n_pad, n_cases = self._rhs.shape
+        n_el = len(self.lengths)
+        # a design that does not solve keeps zeros, a finite stand-in
+        # that is dropped at the end
+        X = np.zeros((B, n_cases, n_pad))
+        solved = [True] * B
+        for i, a in enumerate(areas):
+            try:
+                X[i] = dpbtrs(self.factorize(a), self._rhs, lower=1)[0].T
+            except SingularStructure:
+                solved[i] = False
+
+        # _margins' kernels on (B * rows, ...) stacks: the same element
+        # take, row sums and elementwise arithmetic
+        elong = np.einsum("ij,ij->i", np.tile(self._d6_stacked, (B, 1)),
+                          X.reshape(B, n_cases * n_pad).take(self._elem_take, axis=1)
+                          .reshape(-1, 6))
+        stresses = self.E * elong.reshape(B, n_cases, n_el) / self.lengths
+        source = np.concatenate((stresses, X), axis=2)
+        q = source.reshape(B, n_cases * (n_el + n_pad)).take(self._q_take, axis=1)
+        lower = self.row_lower
+        in_force = None
+        if self.buckling_row.size:
+            lower = np.tile(lower, (B, 1))
+            lower[:, self.buckling_row] = (self.buckling_coeff
+                                           * areas[:, self.buckling_group]
+                                           / self.buckling_L2)
+            lower = lower[:, None, :]
+            in_force = np.ones(q.shape, dtype=bool)
+            in_force[..., self.buckling_row] = q[..., self.buckling_row] < 0
+        excess = np.maximum(q / np.where(q >= 0, self.row_upper, lower) - 1.0, 0.0)
+        excess = excess.reshape(B, self._q_take.size)
+        if in_force is not None:
+            excess = [e[f] for e, f in zip(excess, in_force.reshape(excess.shape))]
+        volumes = areas[:, self.group_of] * self.lengths
+        return [(a, float(self.density * v.sum()), float(g.sum())) if ok else None
+                for ok, a, v, g in zip(solved, areas, volumes, excess)]
 
     def _margins(self, areas):
         """Solve every load case at a float design. Return the source

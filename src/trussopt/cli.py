@@ -10,8 +10,9 @@ Exit codes: 0 success, 1 usage error, 2 model error, 3 runtime error.
 `verify` rejects an area vector with a non-finite or negative entry as a
 usage error; a zero entry (a removed member) is allowed. `run` and
 `compare` reject optimizer parameters that GaParams or HybridParams
-refuse (say `--tsa 2.5` or `--population 5`) as usage errors too, before
-they read the model. The argument parser is built on the first `main`
+refuse (say `--tsa 2.5` or `--population 5`), a negative `--seed` and
+`compare --seeds` below 5 as usage errors too, before they read the
+model. The argument parser is built on the first `main`
 call and reused by every later call in the process: parsing fills a
 fresh namespace and never writes to the parser.
 """
@@ -136,9 +137,6 @@ def cmd_verify(args, model):
 
 
 def cmd_compare(args, model):
-    if args.seeds < 5:
-        print("error: --seeds must be >= 5", file=sys.stderr)
-        return 1
     seeds = list(range(args.seed, args.seed + args.seeds))
     summary = hybrid.compare_plain_ga(model, args.params, seeds)
     print("seed  hybrid_weight  plain_weight")
@@ -246,6 +244,10 @@ def main(argv=None):
             args.areas = _parse_areas(args.areas)
         elif args.command in ("run", "compare"):
             args.params = _hybrid_params(args)
+            if args.seed < 0:
+                raise ValueError(f"--seed must be >= 0, got {args.seed}")
+            if args.command == "compare" and args.seeds < 5:
+                raise ValueError(f"--seeds must be >= 5, got {args.seeds}")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

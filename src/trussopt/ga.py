@@ -6,8 +6,16 @@ positive. It is not scale invariant: selection depends on the absolute
 differences F - F_min in lb, not only on the ordering of penalized
 objectives, so where designs differ by hundreds of lb (200bar) the best
 design takes almost the whole mating pool. All randomness flows through
-a single numpy Generator owned by the population; evaluation order never
-touches the generator, so runs are reproducible bit for bit.
+a single numpy Generator owned by the population, so runs are
+reproducible bit for bit.
+
+A generation's children are made in three stages. `draw_children` makes
+every generator call, in the order that breeding one child at a time
+would make them; the operators then work on all children stacked as one
+(B, n) array, with the same elementwise arithmetic as on one child; and
+`Analyzer.evaluate_many` analyzes them EVALUATION_CHUNK at a time, bit
+for bit as `Analyzer.evaluate` would one at a time. Analysis never
+touches the generator, so drawing first changes no number.
 """
 
 from dataclasses import dataclass, field
@@ -58,20 +66,53 @@ class Population:
     rng: np.random.Generator = field(repr=False)
 
 
-def evaluate_design(model, areas, penalty_params, iteration):
-    """Analyze one clamped design (Analyzer.evaluate); analysis failure
-    maps to +inf objective."""
-    an = analysis.get_analyzer(model)
-    try:
-        areas, weight, total = an.evaluate(areas)
-    except analysis.AnalysisError:
+# designs per Analyzer.evaluate_many call. All 49 children at once ran
+# slower on 200bar (CHANGES.md); 8 is the largest size at which any 8
+# consecutive evaluate_design calls span a whole chunk's analyses, as
+# the pacing of bench/workloads.py assumes
+EVALUATION_CHUNK = 8
+
+# evaluate_design's default: analyze the design in the call
+_ANALYZE = object()
+
+
+def evaluate_design(model, areas, penalty_params, iteration, evaluation=_ANALYZE):
+    """The Individual of one design: clamp and analyze it
+    (Analyzer.evaluate), or take `evaluation`, its entry of
+    Analyzer.evaluate_many. Analysis failure maps to +inf objective."""
+    if evaluation is _ANALYZE:
+        try:
+            evaluation = analysis.get_analyzer(model).evaluate(areas)
+        except analysis.AnalysisError:
+            evaluation = None
+    if evaluation is None:
+        an = analysis.get_analyzer(model)
         design = clamp(np.asarray(areas, dtype=float), an.area_lo, an.area_hi)
         return Individual(design=design, weight=np.inf,
                           violation_total=np.inf, penalized=np.inf,
                           evaluated_at_generation=iteration)
+    areas, weight, total = evaluation
     F = penalized_objective(weight, total, penalty_params, iteration)
     return Individual(design=areas, weight=weight, violation_total=total,
                       penalized=F, evaluated_at_generation=iteration)
+
+
+def evaluate_designs(model, designs, penalty_params, iteration):
+    """One Individual per row of `designs`, in row order, each made by
+    one evaluate_design call from Analyzer.evaluate_many's entry. The
+    short chunk goes first, so that any EVALUATION_CHUNK consecutive
+    calls span one whole chunk's analyses."""
+    an = analysis.get_analyzer(model)
+    individuals = []
+    start = 0
+    for stop in range(len(designs) % EVALUATION_CHUNK or EVALUATION_CHUNK,
+                      len(designs) + 1, EVALUATION_CHUNK):
+        chunk = designs[start:stop]
+        for areas, evaluation in zip(chunk, an.evaluate_many(chunk)):
+            individuals.append(evaluate_design(model, areas, penalty_params,
+                                               iteration, evaluation))
+        start = stop
+    return individuals
 
 
 def reevaluate(ind, penalty_params, iteration):
@@ -82,23 +123,24 @@ def reevaluate(ind, penalty_params, iteration):
                       evaluated_at_generation=iteration)
 
 
-def uniform_box(rng, low, high):
+def uniform_box(rng, low, high, rows=None):
     """One uniform draw in the box [low, high) of 1-D float arrays:
     `rng.uniform(low, high)` bit for bit, drawing the same numbers from
     the stream, since uniform computes low + (high - low) * random()
-    too. Bounds must be finite (validate rejects non-finite area
-    bounds): where uniform raises OverflowError, this returns inf or nan."""
-    return low + (high - low) * rng.random(len(low))
+    too. With `rows`, that many draws stacked, as `rows` calls in turn
+    would make them. Bounds must be finite (validate rejects non-finite
+    area bounds): where uniform raises OverflowError, this returns inf
+    or nan."""
+    return low + (high - low) * rng.random(len(low) if rows is None
+                                           else (rows, len(low)))
 
 
 def init_population(model, ga_params, penalty_params, seed):
     rng = np.random.default_rng(seed)
     lo, hi = model.area_bounds()
-    individuals = []
-    for _ in range(ga_params.population_size):
-        design = uniform_box(rng, lo, hi)
-        individuals.append(evaluate_design(model, design, penalty_params, 1))
-    return Population(individuals=individuals, generation=0, rng=rng)
+    designs = uniform_box(rng, lo, hi, ga_params.population_size)
+    return Population(individuals=evaluate_designs(model, designs, penalty_params, 1),
+                      generation=0, rng=rng)
 
 
 def fitness_values(individuals):
@@ -119,28 +161,53 @@ def select_mating_pool(pop, rng=None):
     return rng.choice(len(pop.individuals), size=len(pop.individuals), p=p)
 
 
-def crossover(parent_a, parent_b, rng, lo, hi, crossover_rate, extension=0.5):
-    """Blend crossover: children uniform on the parent interval extended
-    by `extension` of its width each side, clamped to bounds."""
-    if rng.random() >= crossover_rate:
-        return parent_a.copy(), parent_b.copy()
+def draw_children(rng, need, n, crossover_rate):
+    """Every generator call for `need` children of n variables, in the
+    order of breeding them a pair at a time. Per pair: random() decides
+    the crossover (crossing below crossover_rate), and a crossing pair
+    draws random(n) for each child. Then per child kept: random(n) and
+    standard_normal(n) for its mutation; the dropped sibling of an odd
+    last child draws nothing. Returns the crossing mask (pairs,), the
+    blend draws of the first and second children (2, pairs, n), zero for
+    a pair that does not cross, and the mutation draws u and z, (need, n)
+    each."""
+    pairs = (need + 1) // 2
+    crossing = np.zeros(pairs, dtype=bool)
+    blend = np.zeros((2, pairs, n))
+    u, z = np.empty((need, n)), np.empty((need, n))
+    for p in range(pairs):
+        if rng.random() < crossover_rate:
+            crossing[p] = True
+            rng.random(out=blend[0, p])
+            rng.random(out=blend[1, p])
+        for k in range(2 * p, min(2 * p + 2, need)):
+            rng.random(out=u[k])
+            rng.standard_normal(out=z[k])
+    return crossing, blend, u, z
+
+
+def crossover(parent_a, parent_b, u1, u2, lo, hi, extension=0.5):
+    """Blend crossover: each child uniform on the parent interval
+    extended by `extension` of its width each side, at the draws u1 and
+    u2 in [0, 1) (uniform_box's arithmetic), clamped to bounds. Parents
+    and draws may be stacked (B, n)."""
     low = np.minimum(parent_a, parent_b)
     high = np.maximum(parent_a, parent_b)
     span = high - low
     a = low - extension * span
     b = high + extension * span
-    c1 = uniform_box(rng, a, b)
-    c2 = uniform_box(rng, a, b)
-    return clamp(c1, lo, hi), clamp(c2, lo, hi)
+    return clamp(a + (b - a) * u1, lo, hi), clamp(a + (b - a) * u2, lo, hi)
 
 
-def mutate(design, rng, lo, hi, mutation_rate, sigma_fraction):
-    """Per-variable Gaussian perturbation with probability mutation_rate.
-    random() and standard_normal() are uniform(0, 1) and normal(0, 1)
-    bit for bit, without their loc/scale arithmetic."""
-    out = design.copy()
-    mask = rng.random(len(out)) < mutation_rate
-    noise = rng.standard_normal(len(out)) * sigma_fraction * (hi - lo)
+def mutate(designs, u, z, lo, hi, mutation_rate, sigma_fraction):
+    """Per-variable Gaussian perturbation with probability mutation_rate,
+    from uniform draws u in [0, 1) and standard normal draws z shaped as
+    `designs`, which may be stacked (B, n). random() and
+    standard_normal() are uniform(0, 1) and normal(0, 1) bit for bit,
+    without their loc/scale arithmetic."""
+    out = designs.copy()
+    mask = u < mutation_rate
+    noise = z * sigma_fraction * (hi - lo)
     out[mask] += noise[mask]
     return clamp(out, lo, hi)
 
@@ -157,21 +224,21 @@ def step_generation(pop, model, ga_params, penalty_params):
               for i in order[:ga_params.elite_count]]
 
     parents = select_mating_pool(pop)
-    children = []
     need = len(pop.individuals) - len(elites)
-    k = 0
-    while len(children) < need:
-        a = pop.individuals[parents[k % len(parents)]].design
-        b = pop.individuals[parents[(k + 1) % len(parents)]].design
-        k += 2
-        c1, c2 = crossover(a, b, pop.rng, lo, hi, ga_params.crossover_rate)
-        for c in (c1, c2):
-            if len(children) < need:
-                c = mutate(c, pop.rng, lo, hi, mrate,
-                           ga_params.mutation_sigma_fraction)
-                children.append(evaluate_design(model, c, penalty_params, new_gen))
-    return Population(individuals=elites + children, generation=new_gen,
-                      rng=pop.rng)
+    crossing, blend, u, z = draw_children(pop.rng, need, len(lo),
+                                          ga_params.crossover_rate)
+    # pair p mates parents 2p and 2p + 1 (cyclically); its children take
+    # their rows, copies where the pair does not cross
+    mates = parents[np.arange(2 * len(crossing)) % len(parents)]
+    children = np.array([pop.individuals[i].design for i in mates])
+    a, b = children[0::2], children[1::2]
+    a[crossing], b[crossing] = crossover(a[crossing], b[crossing],
+                                         *blend[:, crossing], lo, hi)
+    children = mutate(children[:need], u, z, lo, hi, mrate,
+                      ga_params.mutation_sigma_fraction)
+    return Population(individuals=elites + evaluate_designs(
+                          model, children, penalty_params, new_gen),
+                      generation=new_gen, rng=pop.rng)
 
 
 def best_index(pop):

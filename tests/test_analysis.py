@@ -228,6 +228,42 @@ def test_evaluate_is_analyze_plus_evaluate_constraints(name):
         assert total == evaluate_constraints(result).total
 
 
+def _same_evaluation(got, expected):
+    areas, weight, total = expected
+    assert got[0].tobytes() == areas.tobytes()
+    assert (repr(got[1]), repr(got[2])) == (repr(weight), repr(total))
+
+
+@pytest.mark.parametrize("name", benchmarks.builtin_names())
+def test_evaluate_many_is_evaluate_byte_for_byte(name):
+    # the stacked post-solve and the per-design sums reproduce evaluate
+    # on every design of a batch, clamping included
+    model = benchmarks.get_builtin(name)
+    an = Analyzer(model)
+    lo, hi = model.area_bounds()
+    margin = 0.2 * (hi - lo)
+    rng = np.random.default_rng(11)
+    for size in (1, 8, 49):
+        designs = rng.uniform(lo - margin, hi + margin, size=(size, len(lo)))
+        got = an.evaluate_many(designs)
+        assert len(got) == size
+        for areas, evaluation in zip(designs, got):
+            _same_evaluation(evaluation, an.evaluate(areas))
+
+
+def test_evaluate_many_maps_a_singular_design_to_none(zero_bound_pair):
+    an = Analyzer(zero_bound_pair)
+    designs = np.array([[1.0, 2.0], [4.0, 0.5], [0.0, 2.0], [3.0, 0.5],
+                        [2.5, 2.5]])
+    with pytest.raises(SingularStructure):
+        an.evaluate(designs[2])
+    got = an.evaluate_many(designs)
+    assert got[2] is None
+    for i in (0, 1, 3, 4):
+        _same_evaluation(got[i], an.evaluate(designs[i]))
+    assert an.evaluate_many(designs[2:3]) == [None]
+
+
 def test_model_without_elements_is_a_mechanism():
     bare = make_model("bare", [(0, 0), (100, 0)], [], [], Material(1e4, 0.1),
                       [(0, "xy")], [{1: (5.0, 0.0)}])

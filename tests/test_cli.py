@@ -269,6 +269,22 @@ def test_bad_optimizer_parameters_exit_1(tmp_path, capsys, command, option):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, option, flag", [
+    ("run", ["--seed", "-1"], "--seed"),
+    ("compare", ["--seed", "-1"], "--seed"),
+    ("compare", ["--seeds", "3"], "--seeds"),
+])
+def test_bad_seed_options_exit_1_before_the_model(tmp_path, capsys, command,
+                                                  option, flag):
+    # checked before the model is read, so a missing file is not reached
+    out = tmp_path / "out"
+    argv = [command, "--model", str(tmp_path / "missing.json"),
+            "--out", str(out), *option]
+    assert main(argv) == 1
+    assert f"error: {flag} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_planar_support_naming_no_node_exit_2(tmp_path, capsys):
     doc = json.loads(serialize_model(benchmarks.get_builtin("10bar-case1")))
     doc["supports"].append({"node": 99, "fixed": ["x", "y"]})

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from trussopt import ga
+from trussopt import benchmarks, ga
 from trussopt.ga import (GaParams, Individual, Population, best_index,
-                         crossover, evaluate_design, fitness_values,
-                         init_population, mutate, select_mating_pool,
+                         crossover, draw_children, evaluate_design,
+                         evaluate_designs, fitness_values, init_population,
+                         mutate, reevaluate, select_mating_pool,
                          step_generation)
 from trussopt.penalty import PenaltyParams
 
@@ -88,19 +89,29 @@ def test_crossover_children_in_extended_interval():
     low = np.minimum(a, b) - 0.5 * np.abs(a - b)
     high = np.maximum(a, b) + 0.5 * np.abs(a - b)
     for _ in range(10_000 // 2):
-        c1, c2 = crossover(a, b, rng, lo, hi, crossover_rate=1.0)
+        c1, c2 = crossover(a, b, rng.random(2), rng.random(2), lo, hi)
         for c in (c1, c2):
             assert np.all(c >= np.maximum(low, lo) - 1e-12)
             assert np.all(c <= np.minimum(high, hi) + 1e-12)
 
 
-def test_crossover_rate_zero_copies_parents():
+def test_crossover_rate_zero_copies_parents(small_model):
+    # no pair crosses or draws blend numbers, so without mutation child k
+    # is a copy of mating-pool parent k
     rng = np.random.default_rng(0)
-    a, b = np.array([1.0]), np.array([2.0])
-    c1, c2 = crossover(a, b, rng, np.array([0.0]), np.array([5.0]),
-                       crossover_rate=0.0)
-    assert c1[0] == 1.0 and c2[0] == 2.0
-    assert c1 is not a  # children are copies, parents untouched
+    crossing, blend, _, _ = draw_children(rng, 9, 1, crossover_rate=0.0)
+    assert not crossing.any() and not blend.any()
+    params = GaParams(population_size=10, crossover_rate=0.0,
+                      mutation_rate=0.0)
+    pop = init_population(small_model, params, PP, 0)
+    twin = np.random.default_rng()
+    twin.bit_generator.state = pop.rng.bit_generator.state
+    parents = select_mating_pool(pop, rng=twin)
+    nxt = step_generation(pop, small_model, params, PP)
+    for k, child in enumerate(nxt.individuals[1:]):
+        a = pop.individuals[parents[k]].design
+        assert child.design[0] == a[0]
+        assert child.design is not a  # children are copies, parents untouched
 
 
 def test_mutation_mean_is_zero():
@@ -108,25 +119,21 @@ def test_mutation_mean_is_zero():
     # mutated variables stays within 3 sigma of zero
     rng = np.random.default_rng(13)
     lo, hi = np.array([0.0]), np.array([1000.0])
-    design = np.array([500.0])
     sigma = 0.1 * 1000.0
     n = 100_000
-    total = 0.0
-    hits = 0
-    for _ in range(n):
-        out = mutate(design, rng, lo, hi, mutation_rate=1.0,
-                     sigma_fraction=0.1)
-        total += out[0] - 500.0
-        hits += 1
-    assert abs(total / hits) <= 3 * sigma / np.sqrt(hits)
+    designs = np.full((n, 1), 500.0)
+    out = mutate(designs, rng.random((n, 1)), rng.standard_normal((n, 1)),
+                 lo, hi, mutation_rate=1.0, sigma_fraction=0.1)
+    total = (out[:, 0] - 500.0).sum()
+    assert abs(total / n) <= 3 * sigma / np.sqrt(n)
 
 
 def test_mutation_respects_bounds():
     rng = np.random.default_rng(2)
     lo, hi = np.array([0.0]), np.array([1.0])
-    for _ in range(1000):
-        out = mutate(np.array([0.5]), rng, lo, hi, 1.0, 2.0)
-        assert 0.0 <= out[0] <= 1.0
+    out = mutate(np.full((1000, 1), 0.5), rng.random((1000, 1)),
+                 rng.standard_normal((1000, 1)), lo, hi, 1.0, 2.0)
+    assert np.all((0.0 <= out) & (out <= 1.0))
 
 
 def test_elites_survive_verbatim(small_model):
@@ -190,15 +197,101 @@ def _mutate_reference(design, rng, lo, hi, mutation_rate, sigma_fraction):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_mutate_draws_are_generator_uniform_and_normal(seed):
-    # mutate draws random(n) and standard_normal(n): the numbers and
+    # mutate's draws random(n) and standard_normal(n) are the numbers and
     # stream positions of uniform(size=n) and normal(0, 1, n). The scalar
     # random() of crossover and the SA acceptance test is uniform()
     a, b = _twins(seed)
     for n in (1, 10, 29):
         lo, hi = np.full(n, 0.1), np.full(n, 40.0)
         design = np.linspace(0.1, 40.0, n)
-        assert mutate(design, a, lo, hi, 0.3, 0.1).tobytes() == \
+        assert mutate(design, a.random(n), a.standard_normal(n), lo, hi,
+                      0.3, 0.1).tobytes() == \
             _mutate_reference(design, b, lo, hi, 0.3, 0.1).tobytes()
         assert a.random() == b.random()
         assert a.random() == b.uniform()
         assert a.random() == b.random()
+
+
+def _step_reference(pop, model, ga_params, penalty_params):
+    # step_generation one child at a time: draw, breed and evaluate each
+    # child before the next, as written with Generator.uniform
+    rng = pop.rng
+    lo, hi = model.area_bounds()
+    mrate = ga_params.resolved_mutation_rate(len(lo))
+    new_gen = pop.generation + 1
+    order = sorted(range(len(pop.individuals)),
+                   key=lambda i: pop.individuals[i].penalized)
+    elites = [reevaluate(pop.individuals[i], penalty_params, new_gen)
+              for i in order[:ga_params.elite_count]]
+    parents = select_mating_pool(pop)
+    children = []
+    need = len(pop.individuals) - len(elites)
+    k = 0
+    while len(children) < need:
+        a = pop.individuals[parents[k % len(parents)]].design
+        b = pop.individuals[parents[(k + 1) % len(parents)]].design
+        k += 2
+        if rng.random() >= ga_params.crossover_rate:
+            pair = a.copy(), b.copy()
+        else:
+            low, high = np.minimum(a, b), np.maximum(a, b)
+            span = high - low
+            pair = tuple(np.clip(rng.uniform(low - 0.5 * span, high + 0.5 * span),
+                                 lo, hi) for _ in range(2))
+        for c in pair:
+            if len(children) < need:
+                c = _mutate_reference(c, rng, lo, hi, mrate,
+                                      ga_params.mutation_sigma_fraction)
+                children.append(evaluate_design(model, c, penalty_params, new_gen))
+    return Population(individuals=elites + children, generation=new_gen, rng=rng)
+
+
+def _same_individuals(xs, ys):
+    assert len(xs) == len(ys)
+    for x, y in zip(xs, ys):
+        assert x.design.tobytes() == y.design.tobytes()
+        assert (repr(x.weight), repr(x.violation_total), repr(x.penalized),
+                x.evaluated_at_generation) == \
+            (repr(y.weight), repr(y.violation_total), repr(y.penalized),
+             y.evaluated_at_generation)
+
+
+@pytest.mark.parametrize("name", ["18bar", "25bar"])
+@pytest.mark.parametrize("size, elites", [(50, 1), (11, 2)])
+@pytest.mark.parametrize("rate", [0.0, 0.9, 1.0])
+def test_step_generation_matches_per_child_reference(name, size, elites, rate):
+    # drawing first, breeding stacked and evaluating in batches gives the
+    # designs, evaluations and stream position of one child at a time
+    model = benchmarks.get_builtin(name)
+    params = GaParams(population_size=size, elite_count=elites,
+                      crossover_rate=rate, mutation_rate=0.3)
+    pop = init_population(model, params, PP, 7)
+    twin = Population(list(pop.individuals), pop.generation,
+                      np.random.default_rng(7))
+    twin.rng.bit_generator.state = pop.rng.bit_generator.state
+    for _ in range(4):
+        pop = step_generation(pop, model, params, PP)
+        twin = _step_reference(twin, model, params, PP)
+        _same_individuals(pop.individuals, twin.individuals)
+        assert pop.rng.bit_generator.state == twin.rng.bit_generator.state
+
+
+def test_init_population_matches_per_design_draws():
+    model = benchmarks.get_builtin("72bar")
+    pop = init_population(model, GaParams(), PP, 3)
+    rng = np.random.default_rng(3)
+    lo, hi = model.area_bounds()
+    _same_individuals(pop.individuals,
+                      [evaluate_design(model, rng.uniform(lo, hi), PP, 1)
+                       for _ in range(50)])
+    assert pop.rng.bit_generator.state == rng.bit_generator.state
+
+
+def test_singular_child_is_infinite_and_spares_its_neighbours(zero_bound_pair):
+    # the batch's middle design leaves the apex a mechanism and fails alone
+    designs = np.array([[1.0, 2.0], [0.0, 2.0], [3.0, 0.5]])
+    got = evaluate_designs(zero_bound_pair, designs, PP, 4)
+    assert got[1].penalized == np.inf and got[1].weight == np.inf
+    assert got[1].design.tobytes() == designs[1].tobytes()
+    _same_individuals([got[0], got[2]], [evaluate_design(zero_bound_pair, d, PP, 4)
+                                         for d in designs[::2]])

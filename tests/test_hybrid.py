@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -86,6 +87,34 @@ def test_golden_run_200bar_seed_0():
               HybridParams(ga=GaParams(max_generations=30)), seed=0)
     assert rec.total_evaluations == 7822
     assert repr(rec.best.weight) == "38960.2018879969"
+
+
+def _history_digest(rec):
+    # every GenerationStat, floats as repr, then the best design's bytes
+    h = hashlib.sha256()
+    for s in rec.history:
+        h.update(repr((s.generation, s.best_F, s.mean_F, s.best_feasible_weight,
+                       s.evaluations, s.sa_ran)).encode())
+    h.update(rec.best.design.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name, evaluations, weight, digest", [
+    # buckling rows, so the in-force mask
+    ("18bar", 3045, "6438.059074642612",
+     "8baf035ffe7b995e20c937f9c2673755b4460090446eeb61c44c30344408f1bd"),
+    # displacement rows
+    ("72bar", 6125, "385.5688890841291",
+     "d44705567676d3b9327e7d4961ab205d0a5b3f0f1f94384ff813b76bc524196b"),
+])
+def test_golden_history(name, evaluations, weight, digest):
+    # the whole history of a pinned run, not only its end (taken under
+    # one and two OpenBLAS threads, which agree)
+    rec = run(benchmarks.get_builtin(name),
+              HybridParams(ga=GaParams(max_generations=40)), seed=0)
+    assert rec.total_evaluations == evaluations
+    assert repr(rec.best.weight) == weight
+    assert _history_digest(rec) == digest
 
 
 def test_different_seeds_differ(small_model):
