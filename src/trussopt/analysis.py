@@ -28,16 +28,58 @@ and each weight and violation total is its own sum over the same 1-D
 sequence as in `evaluate`; one sum along an axis of the stack would
 change last bits. Everything is pure in the design vector, so analyses
 may run concurrently.
+
+pbtrf and pbtrs are taken straight from scipy's Fortran LAPACK
+extension, scipy.linalg._flapack (`_lapack_routines`), not imported
+through scipy.linalg.lapack: that import runs all of scipy.linalg's
+package initialiser, whose array-API shim also imports numpy.f2py,
+numpy.testing and numpy.ma. It took 160-240 ms on a 2-core Linux
+container with scipy 1.17, about 60% of the start-up of a `trussopt`
+command, which runs in a fresh interpreter. The Fortran code is the same
+either way, so results are too.
 """
 
+import importlib.util
+import os
+import sys
 import weakref
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from operator import itemgetter
 
 import numpy as np
-from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .model import DOF_NAMES, ModelError, TrussModel, clamp
+
+
+def _lapack_routines():
+    """dpbtrf and dpbtrs of scipy's LAPACK extension scipy.linalg._flapack,
+    which scipy.linalg.lapack re-exports. An extension already imported
+    is used as it is; otherwise it is loaded from its file in scipy's
+    linalg directory, found without importing scipy, so neither scipy's
+    nor scipy.linalg's package initialiser runs. It is a single-phase
+    extension, which the interpreter initialises once per process, so a
+    later `import scipy.linalg` exposes these same two objects. Should
+    any step fail (another scipy layout), the public import is used."""
+    name = "scipy.linalg._flapack"
+    try:
+        flapack = sys.modules.get(name)
+        if flapack is None:
+            scipy_dir, = importlib.util.find_spec("scipy").submodule_search_locations
+            finder = FileFinder(os.path.join(scipy_dir, "linalg"),
+                                (ExtensionFileLoader, EXTENSION_SUFFIXES))
+            spec = finder.find_spec(name)
+            flapack = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(flapack)
+        return flapack.dpbtrf, flapack.dpbtrs
+    # a spec or attribute not found, a scipy that is not one directory,
+    # an extension that does not load
+    except (AttributeError, TypeError, ValueError, ImportError):
+        from scipy.linalg.lapack import dpbtrf, dpbtrs
+        return dpbtrf, dpbtrs
+
+
+dpbtrf, dpbtrs = _lapack_routines()
 
 
 class AnalysisError(Exception):
@@ -114,16 +156,17 @@ class Analyzer:
         # scatter indices of each element's 6x6 block into the lower band
         # of the reduced matrix: entry (i, j), i >= j, goes to band[i - j, j]
         # of a (kd + 1, n_free) array, stored column by column as LAPACK
-        # reads it. Contributions touching fixed dofs are dropped
-        rows = pos[np.repeat(dofs, 6, axis=1)]             # (n_el, 36)
-        cols = pos[np.tile(dofs, (1, 6))]
-        keep = (rows >= cols) & (cols >= 0)
+        # reads it. The block is symmetric, so its 21 pairs p <= q give
+        # each lower entry once; contributions touching fixed dofs are
+        # dropped. A band entry gets at most one term per element, in
+        # element order, so the order within a block does not matter
+        p, q = np.triu_indices(6)
+        at_p, at_q = pos[dofs[:, p]], pos[dofs[:, q]]       # (n_el, 21)
+        rows, cols = np.maximum(at_p, at_q), np.minimum(at_p, at_q)
+        keep = cols >= 0
         self.kd = int(np.max(rows[keep] - cols[keep], initial=0))
-        flat = cols * (self.kd + 1) + rows - cols
-        outer = d6[:, :, None] * d6[:, None, :]            # (n_el, 6, 6)
-        outer_flat = outer.reshape(n_el, 36)
-        self._scatter_idx = flat[keep]
-        self._scatter_coeff = outer_flat[keep]
+        self._scatter_idx = (cols * self.kd + rows)[keep]
+        self._scatter_coeff = (d6[:, p] * d6[:, q])[keep]
         self._scatter_el = np.nonzero(keep)[0]             # element of each entry
 
         self.E = model.material.elastic_modulus

@@ -7,8 +7,13 @@ Subcommands:
   list     show the built-in benchmark catalog
 
 Exit codes: 0 success, 1 usage error, 2 model error, 3 runtime error.
+A model file that does not exist, cannot be read (say, a directory) or
+is not UTF-8 is a model error naming the file.
 `verify` rejects an area vector with a non-finite or negative entry as a
-usage error; a zero entry (a removed member) is allowed. `run` and
+usage error; a zero entry (a removed member) is allowed. A non-finite
+`--slack` is a usage error too; a negative one is allowed and demands a
+reserve (with `--slack -0.01` every constrained quantity must stay 1%
+below its limit). `run` and
 `compare` reject optimizer parameters that GaParams or HybridParams
 refuse (say `--tsa 2.5` or `--population 5`), a negative `--seed` and
 `compare --seeds` below 5 as usage errors too, before they read the
@@ -40,18 +45,24 @@ class _Parser(argparse.ArgumentParser):
 
 def load_model(spec):
     """Resolve --model: either 'builtin:NAME' or a JSON document path.
-    A mechanism is rejected here (analysis.reject_mechanism)."""
+    A file that cannot be read or is not UTF-8 is a ModelError naming
+    it, and so is a mechanism (analysis.reject_mechanism)."""
     if spec.startswith("builtin:"):
         name = spec[len("builtin:"):]
         try:
             model = benchmarks.get_builtin(name)
         except KeyError as exc:
             raise ModelError(str(exc)) from None
-    elif not os.path.exists(spec):
-        raise ModelError(f"model file not found: {spec}")
     else:
-        with open(spec) as fh:
-            model = model_io.parse_model(fh.read())
+        # a JSON document is UTF-8, whatever the locale says
+        try:
+            with open(spec, encoding="utf-8") as fh:
+                text = fh.read()
+        except FileNotFoundError:
+            raise ModelError(f"model file not found: {spec}") from None
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ModelError(f"cannot read model file {spec}: {exc}") from None
+        model = model_io.parse_model(text)
     analysis.reject_mechanism(model)
     return model
 
@@ -237,11 +248,13 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 1
-    # bad --areas and optimizer parameters are usage errors, found before
-    # the model is read
+    # bad --areas, --slack and optimizer parameters are usage errors, found
+    # before the model is read
     try:
         if args.command == "verify":
             args.areas = _parse_areas(args.areas)
+            if not math.isfinite(args.slack):
+                raise ValueError(f"--slack must be finite, got {args.slack!r}")
         elif args.command in ("run", "compare"):
             args.params = _hybrid_params(args)
             if args.seed < 0:

@@ -1,11 +1,17 @@
 import dataclasses
 import gc
+import hashlib
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from trussopt import benchmarks, io
+import trussopt
+from trussopt import analysis, benchmarks, io
 from trussopt.analysis import (Analyzer, SingularStructure, analyze,
                                reject_mechanism, structure_weight)
 from trussopt.model import (BucklingSpec, Material, MemberGroup, ModelError,
@@ -118,6 +124,33 @@ def test_band_assembly_matches_dense_reference(name):
             u = case.displacements.reshape(-1)[an.free]
             np.testing.assert_allclose(u, U[:, c], rtol=1e-9,
                                        atol=1e-9 * abs(U[:, c]).max())
+
+
+# sha256 of the assembled bands of 20 random designs (default_rng(12),
+# uniform within the bounds) per built-in model: the scatter order of the
+# element blocks may change, the band's bytes may not
+ASSEMBLE_SHA256 = {
+    "10bar-case1": "37c358e0b91afaf8c45276a4cafdba82ecdc299de27574dfba80894b7a20bc6e",
+    "10bar-case2": "37c358e0b91afaf8c45276a4cafdba82ecdc299de27574dfba80894b7a20bc6e",
+    "17bar": "9a55a8691fba10b365ba3724218c8c505ae015c20a7ca63a6ed836596b6d1c5b",
+    "18bar": "c15f09864d0493f9ea4fd7a539a2811b75bcb1abd9edf6c5f6d7ccaad818bee9",
+    "200bar": "2c7ebdc8586a6da78ead879d6f5bb9068a9d9b80286d3d6abbe12dba3471e6c6",
+    "22bar": "2f0b66dddfc827b0d0630f7b813ecd72abba7ba10a46c5d5d5a0dcc985f41510",
+    "25bar": "8f5a87e7bb88218959a8f62e038202bc4e37f46c3f8c8340714b3c42a4da37ae",
+    "72bar": "f46e2a5cc72335f70911b757e26b0f9875e47c19aab1fa68a10e7abdad40a151",
+}
+
+
+@pytest.mark.parametrize("name", benchmarks.builtin_names())
+def test_band_assembly_bytes_are_pinned(name):
+    model = benchmarks.get_builtin(name)
+    an = Analyzer(model)
+    lo, hi = model.area_bounds()
+    rng = np.random.default_rng(12)
+    h = hashlib.sha256()
+    for areas in rng.uniform(lo, hi, size=(20, len(lo))):
+        h.update(an.assemble(areas).tobytes())
+    assert h.hexdigest() == ASSEMBLE_SHA256[name]
 
 
 def test_mechanism_raises_singular_structure():
@@ -386,3 +419,59 @@ def test_constraint_table_row_order(name):
         pairs = [(w["node"], w["dof"]) for kind, w in zip(kinds, where)
                  if kind == "displacement"]
         assert pairs and pairs == sorted(pairs)
+
+
+# a user's command in a fresh interpreter; prints whether scipy.linalg was
+# imported, then whether the analysis holds scipy.linalg.lapack's routines
+_STARTUP_SCRIPT = """
+import sys
+from trussopt import analysis, cli
+code = cli.main(["verify", "--model", "builtin:18bar",
+                 "--areas", "10,21.6506,12.5,7.0711"])
+print(code, "scipy.linalg" in sys.modules)
+import scipy.linalg.lapack as lapack
+print(analysis.dpbtrf is lapack.dpbtrf, analysis.dpbtrs is lapack.dpbtrs)
+"""
+
+
+def test_a_command_starts_without_importing_scipy_linalg():
+    src = str(Path(trussopt.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", _STARTUP_SCRIPT],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout.splitlines()[-2:] == ["0 False", "True True"]
+
+
+def test_lapack_routines_fall_back_to_the_public_import(monkeypatch):
+    # a scipy layout where the extension file is not found: the routines
+    # come from scipy.linalg.lapack, and an analysis gives the same bytes
+    import scipy.linalg.lapack as lapack
+    entry = benchmarks.builtin_models()["18bar"]
+    expected = analyze(entry.model, entry.reference_areas)
+    calls = []
+    for name in ("dpbtrf", "dpbtrs"):
+        def spy(*args, _routine=getattr(lapack, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _routine(*args, **kwargs)
+        monkeypatch.setattr(lapack, name, spy)
+    searched = []
+
+    class NotFound:
+        def __init__(self, path, *loader_details):
+            searched.append(path)
+
+        def find_spec(self, fullname, target=None):
+            return None
+
+    monkeypatch.setattr(analysis, "FileFinder", NotFound)
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    routines = analysis._lapack_routines()
+    assert [Path(p).name for p in searched] == ["linalg"]
+    assert routines == (lapack.dpbtrf, lapack.dpbtrs)
+    monkeypatch.setattr(analysis, "dpbtrf", routines[0])
+    monkeypatch.setattr(analysis, "dpbtrs", routines[1])
+    got = analyze(entry.model, entry.reference_areas)
+    assert calls == ["dpbtrf", "dpbtrs"]
+    for field in ("response", "margins", "in_force"):
+        assert getattr(got, field).tobytes() == getattr(expected, field).tobytes()
+    assert repr(got.weight) == repr(expected.weight)

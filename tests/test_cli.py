@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import trussopt
 from trussopt import analysis, benchmarks, ga, hybrid
 from trussopt.cli import build_parser, constraint_margins, main
 from trussopt.io import parse_model, serialize_model
@@ -90,6 +95,26 @@ def test_parser_is_built_once():
     assert build_parser() is build_parser()
 
 
+@pytest.mark.parametrize("slack", ["nan", "inf", "-inf"])
+def test_non_finite_slack_exit_1_before_the_model(tmp_path, capsys, slack):
+    argv = ["verify", "--model", str(tmp_path / "missing.json"),
+            "--areas", "10,21.6506,12.5,7.0711", f"--slack={slack}"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "error: --slack must be finite" in captured.err
+    assert captured.out == ""
+
+
+def test_negative_slack_demands_a_reserve(capsys):
+    # the closed-form 18bar optimum has active constraints: feasible at
+    # the default slack, not when a 1% reserve is demanded
+    assert main([*VERIFY_18BAR, "--slack", "-0.01"]) == 0
+    out = capsys.readouterr().out
+    assert "(slack -1.0%)" in out and "feasible: no" in out
+    assert main(VERIFY_18BAR) == 0
+    assert "feasible: yes" in capsys.readouterr().out
+
+
 def test_reused_parser_forgets_an_earlier_slack(capsys):
     assert main([*VERIFY_18BAR, "--slack", "0.2"]) == 0
     assert "(slack 20.0%)" in capsys.readouterr().out
@@ -141,6 +166,35 @@ def test_run_writes_artifacts(tmp_path, capsys):
 def test_run_missing_model_file(capsys):
     assert main(["run", "--model", "missing.file"]) == 2
     assert "not found" in capsys.readouterr().err
+
+
+def test_unreadable_model_file_is_model_error_naming_it(tmp_path, capsys):
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"name": "fa\u00e7ade"}'.encode("latin-1"))
+    for path, reason in ((tmp_path, "Is a directory"),
+                         (latin1, "'utf-8' codec can't decode")):
+        assert main(["verify", "--model", str(path), "--areas", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("model error: ")
+        assert str(path) in err and reason in err
+
+
+def test_model_file_is_read_as_utf8_under_an_ascii_locale(tmp_path):
+    # the C locale without UTF-8 mode or locale coercion makes ASCII the
+    # default text encoding of a fresh interpreter
+    doc = json.loads(serialize_model(benchmarks.get_builtin("18bar")))
+    doc["name"] = "18bar-fa\u00e7ade"
+    path = tmp_path / "utf8.json"
+    path.write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
+    src = str(Path(trussopt.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src, "LC_ALL": "C", "PYTHONUTF8": "0",
+           "PYTHONCOERCECLOCALE": "0"}
+    done = subprocess.run(
+        [sys.executable, "-m", "trussopt.cli", *VERIFY_18BAR[:2], str(path),
+         *VERIFY_18BAR[3:]], env=env, capture_output=True, text=True,
+        timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.startswith("weight: 6430.53 lb\n")
 
 
 def test_unknown_builtin_is_model_error(capsys):
