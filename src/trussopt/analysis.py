@@ -45,6 +45,7 @@ import sys
 import weakref
 from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from itertools import chain
 from operator import itemgetter
 
 import numpy as np
@@ -125,27 +126,36 @@ class AnalysisResult:
                      for row in self.response)
 
 
+# the 21 pairs p <= q of an element's symmetric 6x6 block
+_BLOCK_P, _BLOCK_Q = np.triu_indices(6)
+
+
 class Analyzer:
     """Per-model precomputation for fast repeated analysis."""
 
     def __init__(self, model: TrussModel):
         ndof = 3 * model.n_nodes
-        # validate keeps every end inside 0..n_nodes-1, so int64 holds them
-        na, nb = (np.fromiter(map(itemgetter(end), model.elements), dtype=int,
-                              count=model.n_elements) for end in (0, 1))
-        delta = model.coords[nb] - model.coords[na]
-        self.lengths = np.linalg.norm(delta, axis=1)
-        if np.any(self.lengths < 1e-12):
+        n_el = model.n_elements
+        # the (a, b, group) triples read once; validate keeps every end
+        # and group in range, so int64 holds them. The group column is
+        # copied out contiguous, as every evaluation indexes with it
+        abg = np.fromiter(chain.from_iterable(model.elements), dtype=int,
+                          count=3 * n_el).reshape(n_el, 3)
+        self.group_of = abg[:, 2].copy()
+        ends = abg[:, :2]
+        xyz = model.coords[ends]                           # (n_el, 2, 3)
+        delta = xyz[:, 1] - xyz[:, 0]
+        # np.linalg.norm(delta, axis=1) computes exactly this
+        self.lengths = np.sqrt((delta * delta).sum(axis=1))
+        if (self.lengths < 1e-12).any():
             raise ZeroLengthElement("model contains a zero-length element")
-        n_el = len(self.lengths)
         dirs = delta / self.lengths[:, None]               # (n_el, 3) unit vectors
-        self.group_of = model.element_group_indices()
         self.area_lo, self.area_hi = model.area_bounds()  # evaluate clamps
 
         # signed 6-vector d per element: displacement u6 . d = axial elongation
-        d6 = np.hstack([-dirs, dirs])                      # (n_el, 6)
-        dofs = np.stack([3 * na, 3 * na + 1, 3 * na + 2,
-                         3 * nb, 3 * nb + 1, 3 * nb + 2], axis=1)  # (n_el, 6)
+        d6 = np.concatenate((-dirs, dirs), axis=1)         # (n_el, 6)
+        # the x, y, z dofs of end a, then of end b
+        dofs = (3 * ends[:, :, None] + np.arange(3)).reshape(n_el, 6)
 
         self.free = ~model.fixed_dof_mask()
         self.n_free = int(self.free.sum())
@@ -160,11 +170,11 @@ class Analyzer:
         # each lower entry once; contributions touching fixed dofs are
         # dropped. A band entry gets at most one term per element, in
         # element order, so the order within a block does not matter
-        p, q = np.triu_indices(6)
+        p, q = _BLOCK_P, _BLOCK_Q
         at_p, at_q = pos[dofs[:, p]], pos[dofs[:, q]]       # (n_el, 21)
         rows, cols = np.maximum(at_p, at_q), np.minimum(at_p, at_q)
         keep = cols >= 0
-        self.kd = int(np.max(rows[keep] - cols[keep], initial=0))
+        self.kd = int((rows - cols)[keep].max(initial=0))
         self._scatter_idx = (cols * self.kd + rows)[keep]
         self._scatter_coeff = (d6[:, p] * d6[:, q])[keep]
         self._scatter_el = np.nonzero(keep)[0]             # element of each entry
@@ -178,12 +188,10 @@ class Analyzer:
         # with one more row of zeros: pbtrs takes n from the band, so it
         # leaves that row alone, and every fixed dof reads it
         n_cases = len(model.load_cases)
-        case = np.array([j for j, loads in enumerate(model.load_cases)
-                         for _ in loads], dtype=int)
-        node = np.array([nid for loads in model.load_cases
-                         for nid, _ in loads], dtype=int)
-        forces = np.array([f for loads in model.load_cases
-                           for _, f in loads], dtype=float)
+        loads = list(chain.from_iterable(model.load_cases))
+        case = np.repeat(np.arange(n_cases), list(map(len, model.load_cases)))
+        node = np.fromiter(map(itemgetter(0), loads), dtype=int, count=len(loads))
+        forces = np.array(list(map(itemgetter(1), loads)), dtype=float)
         F = np.zeros((ndof, n_cases))
         np.add.at(F, (3 * node[:, None] + np.arange(3), case[:, None]),
                   forces.reshape(-1, 3))

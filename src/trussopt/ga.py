@@ -63,7 +63,7 @@ class GaParams:
 class Population:
     individuals: list
     generation: int
-    rng: np.random.Generator = field(repr=False)
+    rng: "np.random.Generator" = field(repr=False)
 
 
 # designs per Analyzer.evaluate_many call. All 49 children at once ran

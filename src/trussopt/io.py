@@ -6,9 +6,23 @@ list them in any order, but must number each kind 0..n-1, once each, and
 the model keeps them at those positions. Parsing is strict: unknown keys
 are rejected and every diagnostic names the path of the offending field
 (e.g. "nodes[3].x"), so files can be fixed without reading tracebacks.
+
+A list of objects (nodes, groups, elements, supports, the loads of each
+load case) is read in column passes (`_columns`): every object must have
+one key set, each field's values are checked against its JSON types as
+one set of types, and the field's converter is mapped over them once.
+Ids in document order pass with one comparison against 0..n-1. A list
+that fails any of these checks is read again object by object with
+`_fields`, which defines what a valid object is. The column pass raises
+no ParseError itself, so every diagnostic about an object or field comes
+from `_fields` and names the first fault in reading order, whichever
+pass found that the list is not clean. The few load cases and
+displacement limits, the material and the document itself are read by
+`_fields` alone.
 """
 
 import json
+from operator import itemgetter
 
 from .model import (DOF_NAMES, BucklingSpec, Material, MemberGroup, ModelError,
                     ValidationError, make_model)
@@ -115,12 +129,51 @@ def _fields(obj, table, loc, *index, optional=()):
     return values
 
 
-def _by_id(rows, loc, code):
-    """The fields of rows [id, *fields] in id order; ids must be 0..n-1."""
-    by_id = {row[0]: row[1:] for row in rows}
-    if sorted(by_id) != list(range(len(rows))):
-        raise ValidationError([(code, f"{loc}: ids must be unique and contiguous from 0")])
-    return [by_id[i] for i in range(len(rows))]
+def _columns(raw, table, loc, *index, optional=()):
+    """Read the JSON list `raw` of objects with `table`, object i located
+    at `loc`.format(*index, i): one list of values per field, in table
+    order, None for an absent optional field. The column pass takes a
+    list whose objects all have one key set, the table's keys less some
+    optional ones, and whose fields all pass their checks; any other list
+    is read object by object with _fields, which raises the ParseError of
+    its first fault, or returns the fields of a valid list the pass does
+    not take (an optional field on some objects only)."""
+    if set(map(type, raw)) == {dict}:
+        absent = table.keys() - raw[0].keys()
+        # every object has as many keys as the first has of the table,
+        # and each of those (a KeyError if not): so all have one key set
+        if (absent.issubset(optional)
+                and set(map(len, raw)) == {len(table) - len(absent)}):
+            columns = []
+            try:
+                for key, (types, _, convert) in table.items():
+                    if key in absent:
+                        columns.append([None] * len(raw))
+                        continue
+                    column = list(map(itemgetter(key), raw))
+                    if not set(map(type, column)).issubset(types):
+                        break
+                    columns.append(column if convert is None
+                                   else list(map(convert, column)))
+                else:
+                    return columns
+            except (KeyError, _Bad, OverflowError):
+                pass
+    rows = [_fields(obj, table, loc, *index, i, optional=optional)
+            for i, obj in enumerate(raw)]
+    return [[row[k] for row in rows] for k in range(len(table))]
+
+
+def _in_id_order(ids, columns, loc, code):
+    """`columns` reordered so that entry i is the one with id i; the ids
+    must be 0..n-1, each once."""
+    n = len(ids)
+    if ids != list(range(n)):
+        position = {i: k for k, i in enumerate(ids)}
+        if sorted(position) != list(range(n)):
+            raise ValidationError([(code, f"{loc}: ids must be unique and contiguous from 0")])
+        columns = [[column[position[i]] for i in range(n)] for column in columns]
+    return columns
 
 
 def parse_model(text):
@@ -136,24 +189,26 @@ def parse_model(text):
                            optional=("displacement_limits",))
 
     material = Material(*_fields(mat, _MATERIAL, "material"))
-    nodes = _by_id([_fields(nd, _NODE, "nodes[{}]", i)
-                    for i, nd in enumerate(raw_nodes)], "nodes", "BadNodeIds")
+    ids, *xyz = _columns(raw_nodes, _NODE, "nodes[{}]")
+    nodes = list(zip(*_in_id_order(ids, xyz, "nodes", "BadNodeIds")))
+    ids, *fields = _columns(raw_groups, _GROUP, "groups[{}]",
+                            optional=("buckling_k",))
     groups = [MemberGroup(area_min, area_max, tension, compression,
                           None if k is None else BucklingSpec(K=k))
-              for area_min, area_max, tension, compression, k in _by_id(
-                  [_fields(g, _GROUP, "groups[{}]", i, optional=("buckling_k",))
-                   for i, g in enumerate(raw_groups)], "groups", "BadGroupIds")]
-    elements = _by_id([_fields(e, _ELEMENT, "elements[{}]", i)
-                       for i, e in enumerate(raw_elements)], "elements", "BadIds")
-    supports = [_fields(s, _SUPPORT, "supports[{}]", i)
-                for i, s in enumerate(raw_supports)]
-    cases = []
+              for area_min, area_max, tension, compression, k in zip(
+                  *_in_id_order(ids, fields, "groups", "BadGroupIds"))]
+    ids, *abg = _columns(raw_elements, _ELEMENT, "elements[{}]")
+    elements = list(zip(*_in_id_order(ids, abg, "elements", "BadIds")))
+    supports = list(zip(*_columns(raw_supports, _SUPPORT, "supports[{}]")))
+    # a load case's loads are read before the next load case, so that
+    # the first fault in reading order is the one reported
+    case_ids, cases = [], []
     for i, lc in enumerate(raw_cases):
         case_id, raw_loads = _fields(lc, _LOAD_CASE, "load_cases[{}]", i)
-        cases.append((case_id, [(node, force) for node, *force in (
-            _fields(ld, _LOAD, "load_cases[{}].loads[{}]", i, j)
-            for j, ld in enumerate(raw_loads))]))
-    cases = [loads for loads, in _by_id(cases, "load_cases", "BadCaseIds")]
+        node, *force = _columns(raw_loads, _LOAD, "load_cases[{}].loads[{}]", i)
+        case_ids.append(case_id)
+        cases.append(list(zip(node, zip(*force))))
+    cases, = _in_id_order(case_ids, [cases], "load_cases", "BadCaseIds")
     limits = [_fields(dl, _LIMIT, "displacement_limits[{}]", i)
               for i, dl in enumerate(raw_limits or ())]
     return make_model(name, nodes, elements, groups, material, supports,

@@ -13,12 +13,14 @@ their supports.
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from operator import itemgetter
 from typing import Optional
 
 import numpy as np
 
 DOF_NAMES = ("x", "y", "z")
+_DOF_INDEX = {d: i for i, d in enumerate(DOF_NAMES)}
 
 
 def clamp(x, lo, hi):
@@ -121,10 +123,33 @@ class TrussModel:
     def fixed_dof_mask(self):
         """Boolean (n_nodes * 3,) mask of dofs eliminated by supports."""
         mask = np.zeros(self.n_nodes * 3, dtype=bool)
-        for s in self.supports:
-            for d in s.fixed_dofs:
-                mask[3 * s.node + DOF_NAMES.index(d)] = True
+        mask[[3 * s.node + _DOF_INDEX[d]
+              for s in self.supports for d in s.fixed_dofs]] = True
         return mask
+
+
+def _rows_of(rows, width, kind):
+    """Whether `rows` holds only tuples of `width` values of exact type
+    `kind`, checked a column of types at a time."""
+    return (set(map(type, rows)) <= {tuple} and set(map(len, rows)) <= {width}
+            and set(map(type, chain.from_iterable(rows))) <= {kind})
+
+
+def _force(force):
+    f = tuple(map(float, force))
+    return f + (0.0,) if len(f) == 2 else f
+
+
+def _load_case(loads):
+    """A load case as sorted (node, (fx, fy, fz)) pairs of an int and
+    floats. Pairs in that form already, as io.parse_model hands them
+    over, are only sorted."""
+    pairs = list(loads.items() if isinstance(loads, dict) else loads)
+    if not (set(map(type, pairs)) <= {tuple} and set(map(len, pairs)) <= {2}
+            and set(map(type, map(itemgetter(0), pairs))) <= {int}
+            and _rows_of(list(map(itemgetter(1), pairs)), 3, float)):
+        pairs = [(int(node), _force(f)) for node, f in pairs]
+    return tuple(sorted(pairs))
 
 
 def make_model(name, nodes, elements, groups, material, supports, load_cases,
@@ -147,32 +172,24 @@ def make_model(name, nodes, elements, groups, material, supports, load_cases,
     rows = [c if len(c) == 3 else (*c, 0.0) for c in nodes]
     coords = np.array(rows, dtype=float).reshape(len(rows), 3)
     coords.flags.writeable = False
-    elements = tuple((int(a), int(b), int(g)) for a, b, g in elements)
-
-    def load(node, force):
-        f = tuple(map(float, force))
-        return int(node), f + (0.0,) if len(f) == 2 else f
-
-    cases = tuple(
-        tuple(sorted(load(node, f) for node, f in
-                     (lc.items() if isinstance(lc, dict) else lc)))
-        for lc in load_cases)
+    elements = tuple(elements)
+    if not _rows_of(elements, 3, int):
+        elements = tuple((int(a), int(b), int(g)) for a, b, g in elements)
+    cases = tuple(map(_load_case, load_cases))
 
     planar = not coords[:, 2].any() and all(
         f[2] == 0.0 for loads in cases for _, f in loads)
 
-    support_objs = [SupportSpec(node=int(node_id), fixed_dofs=frozenset(dofs))
-                    for node_id, dofs in supports]
+    supports = [(int(node_id), frozenset(dofs)) for node_id, dofs in supports]
     if planar:
         fixed = [{"z"} for _ in rows]
         dangling = []
-        for s in support_objs:
-            if 0 <= s.node < len(rows):
-                fixed[s.node] |= s.fixed_dofs
+        for node, dofs in supports:
+            if 0 <= node < len(rows):
+                fixed[node] |= dofs
             else:
-                dangling.append(s)
-        support_objs = [SupportSpec(node=i, fixed_dofs=frozenset(dofs))
-                        for i, dofs in enumerate(fixed)] + dangling
+                dangling.append((node, dofs))
+        supports = [*enumerate(fixed), *dangling]
 
     limits = tuple(DisplacementLimit(nodes=frozenset(map(int, node_ids)),
                                      dofs=frozenset(dofs), limit=float(limit))
@@ -184,7 +201,8 @@ def make_model(name, nodes, elements, groups, material, supports, load_cases,
         elements=elements,
         groups=tuple(groups),
         material=material,
-        supports=tuple(support_objs),
+        supports=tuple(SupportSpec(node=node, fixed_dofs=frozenset(dofs))
+                       for node, dofs in supports),
         load_cases=cases,
         displacement_limits=limits,
         provenance=provenance,
@@ -205,15 +223,25 @@ def validate(model):
         problems.append(("NonFiniteCoords", f"node {i} has non-finite coordinates"))
 
     n_groups = model.n_groups
-    # every element length in one vectorized norm; an end that names no
-    # node reads the zero row appended to the coordinates (such a length
-    # is not checked)
-    xyz = np.vstack([model.coords, np.zeros(3)])
-    ends = np.array([(a if 0 <= a < n else n, b if 0 <= b < n else n)
-                     for a, b, _ in model.elements], dtype=int).reshape(-1, 2)
-    lengths = np.linalg.norm(xyz[ends[:, 1]] - xyz[ends[:, 0]], axis=1)
-    used_groups = set()
-    for i, (a, b, g) in enumerate(model.elements):
+    # each element check is one array pass over the (a, b, group) rows,
+    # and only an element that fails one is visited, in element order;
+    # an id beyond int64 reads as -1, which names nothing either. An
+    # element whose ends name no node reads length 0, as does a
+    # self-loop, but is not reported as zero length
+    try:
+        abg = np.fromiter(chain.from_iterable(model.elements), dtype=int,
+                          count=3 * model.n_elements)
+    except OverflowError:
+        abg = np.array([-1 if abs(v) >= 2 ** 63 else v
+                        for v in chain.from_iterable(model.elements)], dtype=int)
+    abg = abg.reshape(-1, 3)
+    in_range = (abg >= 0) & (abg < (n, n, n_groups))
+    ends = np.where(in_range[:, :2].all(axis=1, keepdims=True), abg[:, :2], 0)
+    xyz = model.coords[ends]
+    delta = xyz[:, 1] - xyz[:, 0]
+    lengths = np.sqrt((delta * delta).sum(axis=1))
+    for i in np.flatnonzero(~in_range.all(axis=1) | (lengths < 1e-12)).tolist():
+        a, b, g = model.elements[i]
         if a == b:
             problems.append(("ZeroLengthElement", f"element {i} connects node {a} to itself"))
         for nid in (a, b):
@@ -221,11 +249,17 @@ def validate(model):
                 problems.append(("DanglingReference", f"element {i} references missing node {nid}"))
         if not (0 <= g < n_groups):
             problems.append(("DanglingReference", f"element {i} references missing group {g}"))
-        used_groups.add(g)
         if a != b and 0 <= a < n and 0 <= b < n and lengths[i] < 1e-12:
             problems.append(("ZeroLengthElement", f"element {i} has zero length"))
+    used_groups = set(map(itemgetter(2), model.elements))
 
-    for i, g in enumerate(model.groups):
+    # 0 < area_min <= area_max < inf also fails on a NaN
+    for i, g in [(i, g) for i, g in enumerate(model.groups)
+                 if not (0 < g.area_min <= g.area_max < math.inf
+                         and g.stress_tension_limit > 0
+                         and g.stress_compression_limit > 0
+                         and (g.buckling is None or g.buckling.K > 0)
+                         and i in used_groups)]:
         if not all(map(math.isfinite, (g.area_min, g.area_max))):
             problems.append(("NonFiniteBound", f"group {i} has a non-finite area bound"))
         elif not (0 < g.area_min <= g.area_max):
@@ -240,23 +274,30 @@ def validate(model):
     if not (model.material.elastic_modulus > 0 and model.material.weight_density > 0):
         problems.append(("NonPositiveLimit", "material constants must be positive"))
 
-    for s in model.supports:
+    dof_names = set(DOF_NAMES)
+    for s in [s for s in model.supports
+              if not (0 <= s.node < n and s.fixed_dofs <= dof_names)]:
         if not (0 <= s.node < n):
             problems.append(("DanglingReference", f"support references missing node {s.node}"))
         bad = s.fixed_dofs.difference(DOF_NAMES)
         if bad:
             problems.append(("UnknownDof", f"support on node {s.node} fixes unknown dofs {sorted(bad, key=str)}"))
 
+    # per load case, one pass over its nodes and one over its force
+    # values; only a case that fails one looks for its faulty loads
     for j, loads in enumerate(model.load_cases):
-        any_nonzero = False
-        for nid, f in loads:
-            if not (0 <= nid < n):
-                problems.append(("DanglingReference", f"load case {j} references missing node {nid}"))
-            if any(v != 0.0 for v in f):
-                any_nonzero = True
-            if not all(map(math.isfinite, f)):
-                problems.append(("NonFiniteLoad", f"load case {j} has a non-finite load on node {nid}"))
-        if not any_nonzero:
+        nodes = list(map(itemgetter(0), loads))
+        values = list(chain.from_iterable(map(itemgetter(1), loads)))
+        if nodes and not (0 <= min(nodes) and max(nodes) < n
+                          and all(map(math.isfinite, values))):
+            for nid, f in [(nid, f) for nid, f in loads
+                           if not (0 <= nid < n and all(map(math.isfinite, f)))]:
+                if not (0 <= nid < n):
+                    problems.append(("DanglingReference", f"load case {j} references missing node {nid}"))
+                if not all(map(math.isfinite, f)):
+                    problems.append(("NonFiniteLoad", f"load case {j} has a non-finite load on node {nid}"))
+        # a NaN is nonzero too, as it is != 0.0
+        if not any(values):
             problems.append(("NonPositiveLimit", f"load case {j} has no nonzero load"))
 
     for dl in model.displacement_limits:

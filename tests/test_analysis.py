@@ -475,3 +475,17 @@ def test_lapack_routines_fall_back_to_the_public_import(monkeypatch):
     for field in ("response", "margins", "in_force"):
         assert getattr(got, field).tobytes() == getattr(expected, field).tobytes()
     assert repr(got.weight) == repr(expected.weight)
+
+
+@pytest.mark.parametrize("name", benchmarks.builtin_names())
+def test_a_parsed_document_gives_the_same_analyzer(name):
+    # the JSON reader hands make_model loads and element triples already
+    # in model form, where a built-in's pass through its normalization
+    model = benchmarks.get_builtin(name)
+    built = Analyzer(model)
+    parsed = Analyzer(io.parse_model(io.serialize_model(model)))
+    for attr in ("lengths", "_scatter_idx", "_scatter_coeff", "_scatter_el",
+                 "_elem_take", "_q_take", "row_source", "row_upper",
+                 "row_lower", "_rhs"):
+        a, b = getattr(parsed, attr), getattr(built, attr)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), attr

@@ -197,6 +197,28 @@ def test_model_file_is_read_as_utf8_under_an_ascii_locale(tmp_path):
     assert done.stdout.startswith("weight: 6430.53 lb\n")
 
 
+# a `trussopt verify` of a JSON document in a fresh interpreter; prints
+# its exit code and whether numpy.random was imported
+_VERIFY_SCRIPT = """
+import sys
+from trussopt import cli
+code = cli.main(["verify", "--model", sys.argv[1], "--areas", sys.argv[2]])
+print(code, "numpy.random" in sys.modules)
+"""
+
+
+def test_verify_starts_without_numpy_random(tmp_path):
+    # only the optimizer draws random numbers
+    path = tmp_path / "18bar.json"
+    path.write_text(serialize_model(benchmarks.get_builtin("18bar")))
+    src = str(Path(trussopt.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", _VERIFY_SCRIPT, str(path), VERIFY_18BAR[-1]],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        timeout=120, check=True)
+    assert done.stdout.splitlines()[-1] == "0 False"
+
+
 def test_unknown_builtin_is_model_error(capsys):
     assert main(["run", "--model", "builtin:nope"]) == 2
 

@@ -17,6 +17,16 @@ def test_round_trip_identity_on_builtins(name):
     assert serialize_model(again) == text
 
 
+def test_loads_in_any_order_give_the_sorted_model():
+    # a model keeps each case's loads sorted by node, also when the
+    # reader hands them over in model form
+    model = benchmarks.get_builtin("200bar")
+    doc = json.loads(serialize_model(model))
+    for case in doc["load_cases"]:
+        case["loads"].reverse()
+    assert models_equal(parse_model(json.dumps(doc)), model)
+
+
 def _doc(name="10bar-case1"):
     return json.loads(serialize_model(benchmarks.get_builtin(name)))
 
@@ -307,3 +317,60 @@ def test_first_of_several_faults_is_reported(name, edits, reported):
         parse_model(json.dumps(_with_faults(name, *edits)))
     assert str(exc.value) == reported
     assert exc.value.location == reported.split(": ")[0]
+
+
+# faults the column pass does not take, in long 200bar lists: each list
+# is read again object by object, and the ParseError is the one the object
+# reader gave before lists were read in columns
+COLUMN_FALLBACK_FAULTS = [
+    # in the last object of a long list
+    (("elements", 199, "b"), "7", "elements[199].b: expected int"),
+    (("supports", 76, "fixed"), ["x", "w"],
+     "supports[76].fixed: unknown dof 'w'"),
+    (("load_cases", 2, "loads", -1, "fz"), _DELETE,
+     "load_cases[2].loads[54]: missing required field 'fz'"),
+    # in a later column only, and in a converter
+    (("nodes", 40, "z"), "up", "nodes[40].z: expected a number"),
+    (("nodes", 5, "x"), 10 ** 400, "nodes[5].x: number out of float range"),
+    (("elements", 199, "group"), True, "elements[199].group: expected int"),
+]
+
+
+@pytest.mark.parametrize("path, value, reported", COLUMN_FALLBACK_FAULTS,
+                         ids=[f[2] for f in COLUMN_FALLBACK_FAULTS])
+def test_a_list_the_column_pass_refuses_is_read_by_object(path, value, reported):
+    with pytest.raises(ParseError) as exc:
+        parse_model(json.dumps(_with_faults("200bar", (path, value))))
+    assert str(exc.value) == reported
+    assert exc.value.location == reported.split(": ")[0]
+
+
+def test_an_empty_element_list_leaves_every_group_empty():
+    with pytest.raises(ValidationError) as exc:
+        parse_model(json.dumps(_with_faults("200bar", (("elements",), []))))
+    assert exc.value.problems == [
+        ("EmptyGroup", f"group {i} has no elements") for i in range(29)]
+
+
+def test_200bar_problems_keep_model_order():
+    # validate checks each kind in array or comprehension passes and
+    # visits only the entries that fail; it reports what the per-entry
+    # loops reported, in the same order
+    doc = _doc("200bar")
+    elements = doc["elements"]
+    elements[3]["b"] = elements[3]["a"]
+    elements[150]["a"] = 77
+    elements[199]["group"] = 29
+    doc["supports"].append({"node": 99, "fixed": ["x", "y"]})
+    doc["load_cases"][1]["loads"][3]["fx"] = float("nan")
+    for load in doc["load_cases"][2]["loads"]:
+        load["fx"] = load["fy"] = load["fz"] = 0.0
+    with pytest.raises(ValidationError) as exc:
+        parse_model(json.dumps(doc))
+    assert exc.value.problems == [
+        ("ZeroLengthElement", "element 3 connects node 3 to itself"),
+        ("DanglingReference", "element 150 references missing node 77"),
+        ("DanglingReference", "element 199 references missing group 29"),
+        ("DanglingReference", "support references missing node 99"),
+        ("NonFiniteLoad", "load case 1 has a non-finite load on node 3"),
+        ("NonPositiveLimit", "load case 2 has no nonzero load")]
