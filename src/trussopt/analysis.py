@@ -10,24 +10,25 @@ band narrow on the built-in models (half-bandwidth 5-23), where pbtrf
 works the band one column at a time, so a result does not depend on the
 BLAS thread count. The loads sit in a right-hand side with one zero row
 below the free dofs, which the solve leaves alone and every fixed dof
-reads, so element displacements and the constraint sources are flat
-takes from the padded solution with no response array in between. An
-analysis (`analyze`) yields one [stresses | displacements] row per load
-case, and the normalized margin of every constraint row with the
-in-force mask; labels for those rows are built only on request. The
-optimizer's evaluation (`Analyzer.evaluate`) goes from areas to (weight,
-violation total) through the same solve and margins without building a
-response array or a result object. `Analyzer.evaluate_many` evaluates a
-batch of designs: it factors and solves each one on its own (every
-singularity check stays in `factorize`) and runs the element take, the
-stresses, the margins and the in-force mask once over the stack. Its
-contract is bit identity: each design's entry is exactly what `evaluate`
-returns for it, or None where `evaluate` raises. Stacking keeps that
-because those kernels are elementwise or sum each row of six on its own,
-and each weight and violation total is its own sum over the same 1-D
-sequence as in `evaluate`; one sum along an axis of the stack would
-change last bits. Everything is pure in the design vector, so analyses
-may run concurrently.
+reads, so a design's padded solution, its load cases end to end, feeds
+the post-solve with no response array in between.
+
+One post-solve kernel (`Analyzer._margins`) serves one design or a
+stack: from the padded solution it gives the stresses, the normalized
+margin of every constraint row and the in-force mask; labels for those
+rows are built only on request. `analyze` takes the response, one
+[stresses | displacements] row per load case, from it, and `evaluate`,
+the optimizer's evaluation, keeps only (weight, violation total).
+`evaluate_many` factors and solves each design of a batch on its own
+(every singularity check stays in `factorize`) and runs the kernel once
+over the stack. Each entry is exactly what `evaluate` returns for that
+design, or None where `evaluate` raises: the kernel's takes along the
+last axis, elementwise arithmetic and sums of each element's six
+products give a design the same bits alone as in a stack, and each
+weight and violation total is its own sum over the 1-D sequence that
+`evaluate` sums (one sum along an axis of the stack would change last
+bits). Everything is pure in the design vector, so analyses may run
+concurrently.
 
 pbtrf and pbtrs are taken straight from scipy's Fortran LAPACK
 extension, scipy.linalg._flapack (`_lapack_routines`), not imported
@@ -202,14 +203,15 @@ class Analyzer:
         # row of each global dof in the padded solution: the zero row if fixed
         dof_row = np.where(self.free, pos, self.n_free)
 
-        # flat indices into the padded solution raveled case by case: the
-        # six dofs of each element of each case, stacked as the 2-D stress
-        # kernel reads them; that kernel sums each row exactly as it would
-        # for a single case
+        # flat indices into the padded solution, its load cases end to
+        # end (validate requires at least one): the six dofs of each
+        # element of each case, stacked as the stress kernel reads them;
+        # it sums each row of six on its own
         n_pad = self.n_free + 1
-        self._elem_take = (np.arange(n_cases)[:, None, None] * n_pad
-                           + dof_row[dofs]).reshape(-1, 6)
-        self._d6_stacked = np.tile(d6, (n_cases, 1))     # (n_cases * n_el, 6)
+        case_pad = np.arange(0, n_cases * n_pad, n_pad)[:, None]
+        self._elem_take = (case_pad[:, :, None] + dof_row[dofs]).reshape(-1, 6)
+        self._d6_stacked = np.concatenate([d6] * n_cases)  # (n_cases * n_el, 6)
+        self._lengths_stacked = np.concatenate([self.lengths] * n_cases)
 
         # the constraint table, one row per constraint of a load case: each
         # element's stress, followed by its Euler buckling bound if its
@@ -243,14 +245,22 @@ class Analyzer:
         # only under compression
         self.row_upper[self.buckling_row] = np.inf
         self.row_lower[self.buckling_row] = np.nan
+        self._not_buckling = np.ones(self.row_source.shape, dtype=bool)
+        self._not_buckling[self.buckling_row] = False
         buckling_el = self.row_source[self.buckling_row]
         self.buckling_group = self.group_of[buckling_el]
         self.buckling_coeff = -K[self.buckling_group] * self.E
         self.buckling_L2 = self.lengths[buckling_el] ** 2
-        # flat indices of every (case, row) source, and the response columns
-        # of the stresses and of all 3 * n_nodes dofs
-        self._q_take = np.arange(n_cases)[:, None] * (n_el + n_pad) + self.row_source
-        self._response_cols = np.concatenate((np.arange(n_el), n_el + dof_row))
+        # flat indices into a design's source, its stresses of every case
+        # and then its padded solution: every (case, row) of the constraint
+        # table, and each case's response row of stresses and all dofs
+        stress_at = np.arange(n_cases * n_el).reshape(n_cases, n_el)
+        solution_at = n_cases * n_el + case_pad
+        self._q_take = np.concatenate((stress_at[:, member_source],
+                                       solution_at + dof_row[self._limit_dofs]),
+                                      axis=1)
+        self._response_take = np.concatenate((stress_at, solution_at + dof_row),
+                                             axis=1)
 
     def structure_weight(self, areas):
         """Total weight: density * sum over elements of area * length."""
@@ -290,11 +300,11 @@ class Analyzer:
         normalized constraints g = quantity/limit - 1 over the constraint
         table with the mask of the entries in force (see `_margins`)."""
         areas = np.asarray(areas, dtype=float)
-        source, margins, in_force = self._margins(areas)
+        source, margins, in_force = self._margins(areas, self._solve(areas))
         if in_force is None:
             in_force = np.ones(margins.shape, dtype=bool)
         return AnalysisResult(weight=self.structure_weight(areas),
-                              response=source[:, self._response_cols],
+                              response=source.take(self._response_take),
                               n_elements=len(self.lengths),
                               margins=margins, in_force=in_force)
 
@@ -305,7 +315,7 @@ class Analyzer:
         `analyze` result, bit for bit. Raises SingularStructure where
         `factorize` does."""
         areas = clamp(np.asarray(areas, dtype=float), self.area_lo, self.area_hi)
-        _, margins, in_force = self._margins(areas)
+        _, margins, in_force = self._margins(areas, self._solve(areas))
         # the same 1-D sequence as margins[in_force], so the same sum
         g = margins.ravel() if in_force is None else margins[in_force]
         return areas, self.structure_weight(areas), float(np.maximum(g, 0.0).sum())
@@ -313,78 +323,64 @@ class Analyzer:
     def evaluate_many(self, designs):
         """`evaluate` over the rows of a (B, n_groups) array: a list with
         what `evaluate` returns for each design, bit for bit, or None
-        where it raises. Each design is factored and solved on its own;
-        the rest of `_margins` runs once over the stack of solutions, and
-        each weight and violation total is its own sum over the 1-D
-        sequence that `evaluate` sums."""
+        where it raises. Each design is factored and solved on its own,
+        `_margins` runs once over the stack of solutions, and each weight
+        and violation total is its own sum over the 1-D sequence that
+        `evaluate` sums."""
         areas = clamp(np.asarray(designs, dtype=float), self.area_lo, self.area_hi)
         B = len(areas)
-        n_pad, n_cases = self._rhs.shape
-        n_el = len(self.lengths)
         # a design that does not solve keeps zeros, a finite stand-in
         # that is dropped at the end
-        X = np.zeros((B, n_cases, n_pad))
+        X = np.zeros((B, self._rhs.size))
         solved = [True] * B
         for i, a in enumerate(areas):
             try:
-                X[i] = dpbtrs(self.factorize(a), self._rhs, lower=1)[0].T
+                X[i] = self._solve(a)
             except SingularStructure:
                 solved[i] = False
-
-        # _margins' kernels on (B * rows, ...) stacks: the same element
-        # take, row sums and elementwise arithmetic
-        elong = np.einsum("ij,ij->i", np.tile(self._d6_stacked, (B, 1)),
-                          X.reshape(B, n_cases * n_pad).take(self._elem_take, axis=1)
-                          .reshape(-1, 6))
-        stresses = self.E * elong.reshape(B, n_cases, n_el) / self.lengths
-        source = np.concatenate((stresses, X), axis=2)
-        q = source.reshape(B, n_cases * (n_el + n_pad)).take(self._q_take, axis=1)
-        lower = self.row_lower
-        in_force = None
-        if self.buckling_row.size:
-            lower = np.tile(lower, (B, 1))
-            lower[:, self.buckling_row] = (self.buckling_coeff
-                                           * areas[:, self.buckling_group]
-                                           / self.buckling_L2)
-            lower = lower[:, None, :]
-            in_force = np.ones(q.shape, dtype=bool)
-            in_force[..., self.buckling_row] = q[..., self.buckling_row] < 0
-        excess = np.maximum(q / np.where(q >= 0, self.row_upper, lower) - 1.0, 0.0)
-        excess = excess.reshape(B, self._q_take.size)
+        _, margins, in_force = self._margins(areas, X)
+        excess = np.maximum(margins, 0.0).reshape(B, -1)
         if in_force is not None:
-            excess = [e[f] for e, f in zip(excess, in_force.reshape(excess.shape))]
+            excess = [e[f] for e, f in zip(excess, in_force.reshape(B, -1))]
         volumes = areas[:, self.group_of] * self.lengths
         return [(a, float(self.density * v.sum()), float(g.sum())) if ok else None
                 for ok, a, v, g in zip(solved, areas, volumes, excess)]
 
-    def _margins(self, areas):
-        """Solve every load case at a float design. Return the source
-        array, one [stresses | padded solution] row per load case, the
-        margins g, and their in-force mask, or None when every entry is
-        in force (a model without buckling rows).
+    def _solve(self, areas):
+        """The padded solution at a float design, its load cases end to
+        end. Raises SingularStructure where `factorize` does."""
+        return dpbtrs(self.factorize(areas), self._rhs, lower=1)[0].ravel(order="F")
+
+    def _margins(self, areas, X):
+        """The post-solve of one design, (n_groups,) areas and padded
+        solution X, or of a stack, (B, n_groups) and (B, X.size). Return
+        the source, the stresses of every load case followed by X, the
+        (n_cases, n_rows) margins g over the constraint table, and their
+        in-force mask, or None when every entry is in force (a model
+        without buckling rows); a stack gives each a leading axis.
 
         Stress: against the tension limit for positive stress, the
         compression limit magnitude for negative. Buckling: against the
         area-dependent Euler bound -K*E*A/L^2, in force only under
         compression. Displacement: |u|/limit - 1.
         """
-        X, _ = dpbtrs(self.factorize(areas), self._rhs, lower=1)
-        n_el = len(self.lengths)
-        elong = np.einsum("ij,ij->i", self._d6_stacked,
-                          X.ravel(order="F").take(self._elem_take))
-        stresses = self.E * elong.reshape(-1, n_el) / self.lengths
-        source = np.concatenate((stresses, X.T), axis=1)
-
-        q = source.take(self._q_take)
+        elong = np.einsum("ij,...ij->...i", self._d6_stacked,
+                          X.take(self._elem_take, axis=-1))
+        source = np.concatenate((self.E * elong / self._lengths_stacked, X),
+                                axis=-1)
+        q = source.take(self._q_take, axis=-1)
         lower = self.row_lower
         in_force = None
         if self.buckling_row.size:
-            lower = lower.copy()
-            lower[self.buckling_row] = (self.buckling_coeff
-                                        * areas[self.buckling_group]
-                                        / self.buckling_L2)
-            in_force = np.ones(q.shape, dtype=bool)
-            in_force[:, self.buckling_row] = q[:, self.buckling_row] < 0
+            # each design's Euler bounds go in through the transpose,
+            # whose first axis is the row for one design and a stack alike
+            lower = np.empty(areas.shape[:-1] + lower.shape)
+            lower[...] = self.row_lower
+            lower.T[self.buckling_row] = (self.buckling_coeff
+                                          * areas.take(self.buckling_group, axis=-1)
+                                          / self.buckling_L2).T
+            lower = lower[..., None, :]
+            in_force = (q < 0) | self._not_buckling
         # the limit takes the sign of q, so q/limit = |q|/|limit|
         margins = q / np.where(q >= 0, self.row_upper, lower) - 1.0
         return source, margins, in_force

@@ -115,11 +115,6 @@ class TrussModel:
         hi = np.array([g.area_max for g in self.groups], dtype=float)
         return lo, hi
 
-    def element_group_indices(self):
-        """Design-vector index (the group) of every element, element order."""
-        return np.fromiter(map(itemgetter(2), self.elements), dtype=int,
-                           count=len(self.elements))
-
     def fixed_dof_mask(self):
         """Boolean (n_nodes * 3,) mask of dofs eliminated by supports."""
         mask = np.zeros(self.n_nodes * 3, dtype=bool)
@@ -299,6 +294,8 @@ def validate(model):
         # a NaN is nonzero too, as it is != 0.0
         if not any(values):
             problems.append(("NonPositiveLimit", f"load case {j} has no nonzero load"))
+    if not model.load_cases:
+        problems.append(("NoLoadCase", "model has no load case"))
 
     for dl in model.displacement_limits:
         if not dl.limit > 0:

@@ -86,12 +86,11 @@ def _dense(band):
 def _reference_stiffness(model, areas):
     """Reduced stiffness assembled element by element in dense storage."""
     coords = model.coords
-    group = model.element_group_indices()
     K = np.zeros((3 * model.n_nodes,) * 2)
-    for i, (a, b, _) in enumerate(model.elements):
+    for a, b, g in model.elements:
         delta = coords[b] - coords[a]
         L = np.linalg.norm(delta)
-        k = (model.material.elastic_modulus * areas[group[i]] / L
+        k = (model.material.elastic_modulus * areas[g] / L
              * np.outer(delta, delta) / L ** 2)
         dofs = np.r_[3 * a:3 * a + 3, 3 * b:3 * b + 3]
         K[np.ix_(dofs, dofs)] += np.block([[k, -k], [-k, k]])
@@ -151,6 +150,29 @@ def test_band_assembly_bytes_are_pinned(name):
     for areas in rng.uniform(lo, hi, size=(20, len(lo))):
         h.update(an.assemble(areas).tobytes())
     assert h.hexdigest() == ASSEMBLE_SHA256[name]
+
+
+# sha256 of analyze's response, margins and in_force bytes at 10 random
+# designs (default_rng(13), uniform within the bounds): 18bar has buckling
+# rows, 72bar displacement rows and two load cases, 200bar three cases
+ANALYZE_SHA256 = {
+    "18bar": "7baf7c25d706213e74c0231fd1ad8751b0a1d74299932911206f93ee8ff0ebf9",
+    "72bar": "3e55307cc81d95af51794beae2e0e9949a711b7471457ce3d559d0653243e5d9",
+    "200bar": "fb7291bce757c4eb1ff9d3a730aec8129c4952adc351ff799b7854421954253a",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ANALYZE_SHA256))
+def test_analyze_arrays_are_pinned(name):
+    model = benchmarks.get_builtin(name)
+    lo, hi = model.area_bounds()
+    rng = np.random.default_rng(13)
+    h = hashlib.sha256()
+    for areas in rng.uniform(lo, hi, size=(10, len(lo))):
+        result = analyze(model, areas)
+        for array in (result.response, result.margins, result.in_force):
+            h.update(array.tobytes())
+    assert h.hexdigest() == ANALYZE_SHA256[name]
 
 
 def test_mechanism_raises_singular_structure():
@@ -284,8 +306,20 @@ def test_evaluate_many_is_evaluate_byte_for_byte(name):
             _same_evaluation(evaluation, an.evaluate(areas))
 
 
-def test_evaluate_many_maps_a_singular_design_to_none(zero_bound_pair):
-    an = Analyzer(zero_bound_pair)
+def _buckling(model):
+    """The model with an Euler buckling constant on every group."""
+    groups = tuple(dataclasses.replace(g, buckling=BucklingSpec(4.0))
+                   for g in model.groups)
+    return dataclasses.replace(model, groups=groups)
+
+
+@pytest.mark.parametrize("variant", [lambda m: m, _buckling],
+                         ids=["stress", "buckling"])
+def test_evaluate_many_maps_a_singular_design_to_none(zero_bound_pair, variant):
+    # with buckling rows, the stacked Euler bounds and in-force mask also
+    # meet the zero-filled solution of the singular design
+    an = Analyzer(variant(zero_bound_pair))
+    assert an.buckling_row.size == (2 if variant is _buckling else 0)
     designs = np.array([[1.0, 2.0], [4.0, 0.5], [0.0, 2.0], [3.0, 0.5],
                         [2.5, 2.5]])
     with pytest.raises(SingularStructure):

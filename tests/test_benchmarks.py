@@ -89,7 +89,7 @@ def test_18bar_closed_form_optimum():
     # are fixed by the loads alone and each group's minimum area follows
     # from its governing stress or Euler buckling limit in closed form
     model = benchmarks.get_builtin("18bar")
-    group_of = model.element_group_indices()
+    group_of = np.array([g for _, _, g in model.elements])
     for areas in ([1.0, 2.0, 3.0, 4.0], [10.0, 20.0, 5.0, 7.0]):
         areas = np.array(areas)
         stresses = analysis.analyze(model, areas).cases[0].element_stresses

@@ -297,6 +297,19 @@ def test_non_finite_area_bound_exit_2(tmp_path, capsys, command):
         in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_model_without_load_cases_exit_2(tmp_path, capsys, command):
+    # a model error before any run, not a numpy error after one
+    p = _write_10bar(tmp_path, ("load_cases",), [])
+    out = tmp_path / "out"
+    argv = (["run", "--model", p, "--generations", "2", "--population", "10",
+             "--out", str(out)] if command == "run" else
+            ["verify", "--model", p, "--areas", AREAS_10BAR])
+    assert main(argv) == 2
+    assert "NoLoadCase: model has no load case" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_huge_integer_literal_exit_2(tmp_path, capsys):
     p = _write_10bar(tmp_path, ("groups", 0, "area_max"), 10 ** 400)
     assert main(["verify", "--model", p, "--areas", AREAS_10BAR]) == 2

@@ -102,6 +102,13 @@ def test_all_dofs_fixed_rejected():
     assert any(code == "NoFreeDofs" for code, _ in exc.value.problems)
 
 
+def test_model_without_load_cases_rejected():
+    with pytest.raises(ValidationError) as exc:
+        make_model("t", [(0, 0), (100, 0)], [(0, 1, 0)], _groups(), MAT,
+                   [(0, "xy"), (1, "y")], load_cases=[])
+    assert exc.value.problems == [("NoLoadCase", "model has no load case")]
+
+
 def test_all_problems_collected_not_just_first():
     with pytest.raises(ValidationError) as exc:
         _make(elements=[(0, 0, 0), (0, 9, 5)],
