@@ -19,16 +19,17 @@ margin of every constraint row and the in-force mask; labels for those
 rows are built only on request. `analyze` takes the response, one
 [stresses | displacements] row per load case, from it, and `evaluate`,
 the optimizer's evaluation, keeps only (weight, violation total).
+`evaluate` scores a design that `factorize` finds singular (a mechanism)
+as its clamped areas with inf weight and inf violation total.
 `evaluate_many` factors and solves each design of a batch on its own
 (every singularity check stays in `factorize`) and runs the kernel once
 over the stack. Each entry is exactly what `evaluate` returns for that
-design, or None where `evaluate` raises: the kernel's takes along the
-last axis, elementwise arithmetic and sums of each element's six
-products give a design the same bits alone as in a stack, and each
-weight and violation total is its own sum over the 1-D sequence that
-`evaluate` sums (one sum along an axis of the stack would change last
-bits). Everything is pure in the design vector, so analyses may run
-concurrently.
+design: the kernel's takes along the last axis, elementwise arithmetic
+and sums of each element's six products give a design the same bits
+alone as in a stack, and each weight and violation total is its own sum
+over the 1-D sequence that `evaluate` sums (one sum along an axis of the
+stack would change last bits). Everything is pure in the design vector,
+so analyses may run concurrently.
 
 pbtrf and pbtrs are taken straight from scipy's Fortran LAPACK
 extension, scipy.linalg._flapack (`_lapack_routines`), not imported
@@ -93,10 +94,6 @@ class SingularStructure(AnalysisError):
     is a mechanism, not merely a bad candidate design."""
 
 
-class ZeroLengthElement(AnalysisError):
-    pass
-
-
 # pivot threshold relative to the largest stiffness diagonal entry
 SINGULARITY_RTOL = 1e-10
 
@@ -137,9 +134,9 @@ class Analyzer:
     def __init__(self, model: TrussModel):
         ndof = 3 * model.n_nodes
         n_el = model.n_elements
-        # the (a, b, group) triples read once; validate keeps every end
-        # and group in range, so int64 holds them. The group column is
-        # copied out contiguous, as every evaluation indexes with it
+        # the (a, b, group) triples read once; validate keeps every end and
+        # group in range (so int64 holds them) and every length finite and
+        # nonzero. The group column is copied out contiguous for evaluations
         abg = np.fromiter(chain.from_iterable(model.elements), dtype=int,
                           count=3 * n_el).reshape(n_el, 3)
         self.group_of = abg[:, 2].copy()
@@ -148,8 +145,6 @@ class Analyzer:
         delta = xyz[:, 1] - xyz[:, 0]
         # np.linalg.norm(delta, axis=1) computes exactly this
         self.lengths = np.sqrt((delta * delta).sum(axis=1))
-        if (self.lengths < 1e-12).any():
-            raise ZeroLengthElement("model contains a zero-length element")
         dirs = delta / self.lengths[:, None]               # (n_el, 3) unit vectors
         self.area_lo, self.area_hi = model.area_bounds()  # evaluate clamps
 
@@ -199,7 +194,6 @@ class Analyzer:
         self._rhs = np.zeros((self.n_free + 1, n_cases), order="F")
         self._rhs[:-1] = F[self.free]
         self._rhs.flags.writeable = False
-        self.F_free = self._rhs[:-1]
         # row of each global dof in the padded solution: the zero row if fixed
         dof_row = np.where(self.free, pos, self.n_free)
 
@@ -312,18 +306,22 @@ class Analyzer:
         """The optimizer's evaluation: (areas clamped to their bounds,
         weight, total violation). The total sums max(g, 0) over the
         margins in force, as `penalty.evaluate_constraints` does over an
-        `analyze` result, bit for bit. Raises SingularStructure where
-        `factorize` does."""
+        `analyze` result, bit for bit. Where `factorize` raises
+        SingularStructure, both weight and total are inf."""
         areas = clamp(np.asarray(areas, dtype=float), self.area_lo, self.area_hi)
-        _, margins, in_force = self._margins(areas, self._solve(areas))
+        try:
+            X = self._solve(areas)
+        except SingularStructure:
+            return areas, np.inf, np.inf
+        _, margins, in_force = self._margins(areas, X)
         # the same 1-D sequence as margins[in_force], so the same sum
         g = margins.ravel() if in_force is None else margins[in_force]
         return areas, self.structure_weight(areas), float(np.maximum(g, 0.0).sum())
 
     def evaluate_many(self, designs):
         """`evaluate` over the rows of a (B, n_groups) array: a list with
-        what `evaluate` returns for each design, bit for bit, or None
-        where it raises. Each design is factored and solved on its own,
+        what `evaluate` returns for each design, bit for bit, a singular
+        one included. Each design is factored and solved on its own,
         `_margins` runs once over the stack of solutions, and each weight
         and violation total is its own sum over the 1-D sequence that
         `evaluate` sums."""
@@ -343,7 +341,8 @@ class Analyzer:
         if in_force is not None:
             excess = [e[f] for e, f in zip(excess, in_force.reshape(B, -1))]
         volumes = areas[:, self.group_of] * self.lengths
-        return [(a, float(self.density * v.sum()), float(g.sum())) if ok else None
+        return [(a, float(self.density * v.sum()), float(g.sum())) if ok
+                else (a, np.inf, np.inf)
                 for ok, a, v, g in zip(solved, areas, volumes, excess)]
 
     def _solve(self, areas):

@@ -12,6 +12,7 @@ iteration frozen at the launching generation.
 """
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -39,10 +40,19 @@ class SaParams:
     max_iterations: int = None           # default 200 * n_variables
 
     def __post_init__(self):
-        if not 0 < self.cooling_alpha < 1:
-            raise ValueError("cooling_alpha must lie in (0,1)")
-        if self.radius_gamma <= 1:
-            raise ValueError("radius_gamma must exceed 1")
+        # each check fails on a NaN; a count of None reads as anneal's
+        # default, and a count is an int, as the window indexes the trace
+        for name in ("stagnation_window", "radius_beta", "max_iterations"):
+            count = getattr(self, name)
+            if not (count is None or isinstance(count, Integral) and count >= 1):
+                raise ValueError(f"{name} must be None or a whole number >= 1")
+        for name, low, high in (("cooling_alpha", 0, 1), ("t_min_fraction", 0, 1),
+                                ("radius_gamma", 1, np.inf),
+                                ("initial_temperature_fraction", 0, np.inf)):
+            if not low < getattr(self, name) < high:
+                raise ValueError(f"{name} must lie in ({low}, {high})")
+        if not self.epsilon_fraction >= 0:
+            raise ValueError("epsilon_fraction must be non-negative")
 
 
 def initial_radii(top10, lo, hi):

@@ -18,7 +18,7 @@ for bit as `Analyzer.evaluate` would one at a time. Analysis never
 touches the generator, so drawing first changes no number.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -72,25 +72,13 @@ class Population:
 # the pacing of bench/workloads.py assumes
 EVALUATION_CHUNK = 8
 
-# evaluate_design's default: analyze the design in the call
-_ANALYZE = object()
 
-
-def evaluate_design(model, areas, penalty_params, iteration, evaluation=_ANALYZE):
-    """The Individual of one design: clamp and analyze it
-    (Analyzer.evaluate), or take `evaluation`, its entry of
-    Analyzer.evaluate_many. Analysis failure maps to +inf objective."""
-    if evaluation is _ANALYZE:
-        try:
-            evaluation = analysis.get_analyzer(model).evaluate(areas)
-        except analysis.AnalysisError:
-            evaluation = None
+def evaluate_design(model, areas, penalty_params, iteration, evaluation=None):
+    """The Individual of one design: clamp and analyze it (Analyzer.evaluate),
+    or take `evaluation`, its entry of Analyzer.evaluate_many. A singular
+    design's inf weight and violation total give it F = inf."""
     if evaluation is None:
-        an = analysis.get_analyzer(model)
-        design = clamp(np.asarray(areas, dtype=float), an.area_lo, an.area_hi)
-        return Individual(design=design, weight=np.inf,
-                          violation_total=np.inf, penalized=np.inf,
-                          evaluated_at_generation=iteration)
+        evaluation = analysis.get_analyzer(model).evaluate(areas)
     areas, weight, total = evaluation
     F = penalized_objective(weight, total, penalty_params, iteration)
     return Individual(design=areas, weight=weight, violation_total=total,
@@ -118,9 +106,7 @@ def evaluate_designs(model, designs, penalty_params, iteration):
 def reevaluate(ind, penalty_params, iteration):
     """Recompute F at a new penalty iteration without re-analyzing."""
     F = penalized_objective(ind.weight, ind.violation_total, penalty_params, iteration)
-    return Individual(design=ind.design, weight=ind.weight,
-                      violation_total=ind.violation_total, penalized=F,
-                      evaluated_at_generation=iteration)
+    return replace(ind, penalized=F, evaluated_at_generation=iteration)
 
 
 def uniform_box(rng, low, high, rows=None):

@@ -125,7 +125,7 @@ def run(model, params, seed=0, max_evaluations=None):
             top10 = [pop.individuals[i] for i in order[:10]]
             sa_best, trace = annealing.sa_run(
                 top10[0], top10, model, params.sa, penalty_params,
-                frozen_iteration=max(pop.generation, 1), rng=pop.rng)
+                frozen_iteration=pop.generation, rng=pop.rng)
             evals += len(trace)
             best, best_feasible = _track_best(best, best_feasible, sa_best)
             victim = remove_victim_index(pop)

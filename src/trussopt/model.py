@@ -218,11 +218,11 @@ def validate(model):
         problems.append(("NonFiniteCoords", f"node {i} has non-finite coordinates"))
 
     n_groups = model.n_groups
-    # each element check is one array pass over the (a, b, group) rows,
-    # and only an element that fails one is visited, in element order;
-    # an id beyond int64 reads as -1, which names nothing either. An
-    # element whose ends name no node reads length 0, as does a
-    # self-loop, but is not reported as zero length
+    # each element check is one array pass over the (a, b, group) rows, and
+    # only an element that fails one is visited, in element order; an id
+    # beyond int64 reads as -1, which names nothing either. An element whose
+    # ends name no node reads length 0, as does a self-loop, but is not
+    # reported as zero length. Finite ends may give a length that overflows
     try:
         abg = np.fromiter(chain.from_iterable(model.elements), dtype=int,
                           count=3 * model.n_elements)
@@ -233,9 +233,11 @@ def validate(model):
     in_range = (abg >= 0) & (abg < (n, n, n_groups))
     ends = np.where(in_range[:, :2].all(axis=1, keepdims=True), abg[:, :2], 0)
     xyz = model.coords[ends]
-    delta = xyz[:, 1] - xyz[:, 0]
-    lengths = np.sqrt((delta * delta).sum(axis=1))
-    for i in np.flatnonzero(~in_range.all(axis=1) | (lengths < 1e-12)).tolist():
+    with np.errstate(over="ignore", invalid="ignore"):
+        delta = xyz[:, 1] - xyz[:, 0]
+        lengths = np.sqrt((delta * delta).sum(axis=1))
+    overflows = ~np.isfinite(lengths) & np.isfinite(xyz).all(axis=(1, 2))
+    for i in np.flatnonzero(~in_range.all(axis=1) | (lengths < 1e-12) | overflows).tolist():
         a, b, g = model.elements[i]
         if a == b:
             problems.append(("ZeroLengthElement", f"element {i} connects node {a} to itself"))
@@ -246,6 +248,8 @@ def validate(model):
             problems.append(("DanglingReference", f"element {i} references missing group {g}"))
         if a != b and 0 <= a < n and 0 <= b < n and lengths[i] < 1e-12:
             problems.append(("ZeroLengthElement", f"element {i} has zero length"))
+        if overflows[i]:
+            problems.append(("NonFiniteLength", f"element {i} has a non-finite length"))
     used_groups = set(map(itemgetter(2), model.elements))
 
     # 0 < area_min <= area_max < inf also fails on a NaN

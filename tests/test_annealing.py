@@ -140,3 +140,21 @@ def test_sa_run_freezes_penalty_iteration(small_model):
     assert best.penalized <= order[0].penalized
     assert best.evaluated_at_generation == 7 or best is order[0]
     assert len(trace) >= 1
+
+
+@pytest.mark.parametrize("field, value", [
+    ("stagnation_window", 0), ("stagnation_window", -3),
+    ("stagnation_window", 6.0), ("radius_beta", 0), ("radius_beta", np.nan),
+    ("max_iterations", -1), ("max_iterations", 0),
+    ("initial_temperature_fraction", -0.1),
+    ("initial_temperature_fraction", 0.0),
+    ("initial_temperature_fraction", np.nan),
+    ("t_min_fraction", 0.0), ("t_min_fraction", 1.0),
+    ("t_min_fraction", np.nan), ("epsilon_fraction", -1e-6),
+    ("epsilon_fraction", np.nan), ("radius_gamma", np.nan),
+])
+def test_params_reject_values_that_break_or_empty_a_burst(field, value):
+    # 0 would silently read as the default, -3 raised IndexError inside
+    # anneal, and a negative iteration cap or temperature ran no iteration
+    with pytest.raises(ValueError, match=field):
+        SaParams(**{field: value})

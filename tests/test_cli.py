@@ -260,6 +260,13 @@ def test_mechanism_model_is_model_error(tmp_path, capsys):
     assert "mechanism" in capsys.readouterr().err
 
 
+def test_verify_of_a_mechanism_design_is_an_analysis_error(capsys):
+    # the model is sound, but every area 0 removes every member
+    assert main(["verify", "--model", "builtin:10bar-case1",
+                 "--areas", ",".join(["0"] * 10)]) == 3
+    assert "analysis error" in capsys.readouterr().err
+
+
 def _write_10bar(tmp_path, path, value):
     doc = json.loads(serialize_model(benchmarks.get_builtin("10bar-case1")))
     *head, last = path
@@ -307,6 +314,24 @@ def test_model_without_load_cases_exit_2(tmp_path, capsys, command):
             ["verify", "--model", p, "--areas", AREAS_10BAR])
     assert main(argv) == 2
     assert "NoLoadCase: model has no load case" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_overflowing_element_length_exit_2(tmp_path, capsys, command):
+    # finite coordinates, but the squared length of element 1 (nodes 0 and
+    # 2) overflows, and so do those of the other elements at nodes 0 and 1
+    doc = json.loads(serialize_model(benchmarks.get_builtin("10bar-case1")))
+    doc["nodes"][0]["x"], doc["nodes"][1]["x"] = 1e308, -1e308
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    argv = (["run", "--model", str(p), "--generations", "3",
+             "--population", "10", "--out", str(out)] if command == "run" else
+            ["verify", "--model", str(p), "--areas", AREAS_10BAR])
+    assert main(argv) == 2
+    assert "NonFiniteLength: element 1 has a non-finite length" \
+        in capsys.readouterr().err
     assert not out.exists()
 
 

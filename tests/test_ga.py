@@ -295,3 +295,12 @@ def test_singular_child_is_infinite_and_spares_its_neighbours(zero_bound_pair):
     assert got[1].design.tobytes() == designs[1].tobytes()
     _same_individuals([got[0], got[2]], [evaluate_design(zero_bound_pair, d, PP, 4)
                                          for d in designs[::2]])
+
+
+def test_sa_path_scores_a_clamped_singular_design_as_infinite(zero_bound_pair):
+    # one design analyzed in the call, as an SA burst does: outside the
+    # bounds, it clamps to a zero area that leaves the apex a mechanism
+    ind = evaluate_design(zero_bound_pair, np.array([-1.0, 2.0]), PP, 4)
+    assert ind.design.tobytes() == np.array([0.0, 2.0]).tobytes()
+    assert (ind.weight, ind.violation_total, ind.penalized) == (np.inf,) * 3
+    assert ind.evaluated_at_generation == 4

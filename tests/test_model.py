@@ -173,6 +173,22 @@ def test_problems_are_reported_in_model_order():
         ("ZeroLengthElement", "element 6 has zero length")]
 
 
+def test_overflowing_length_rejected_and_located():
+    # finite coordinates whose difference or squared length overflows: an
+    # inf length would give a zero stiffness and an inf weight. A NaN node
+    # and a missing node are reported as before, not as a length
+    with pytest.raises(ValidationError) as exc:
+        _make(nodes=[(1e308, 0), (-1e308, 0), (1e200, 50), (float("nan"), 0),
+                     (0, 50)],
+              elements=[(0, 1, 0), (2, 4, 0), (3, 4, 0), (0, 9, 0)],
+              supports=[(0, "xy"), (4, "xy")])
+    assert exc.value.problems == [
+        ("NonFiniteCoords", "node 3 has non-finite coordinates"),
+        ("NonFiniteLength", "element 0 has a non-finite length"),
+        ("NonFiniteLength", "element 1 has a non-finite length"),
+        ("DanglingReference", "element 3 references missing node 9")]
+
+
 def test_planar_supports_union_every_entry_of_a_node():
     m = _make(supports=[(0, "x"), (1, "y"), (0, ["y"])])
     assert [(s.node, s.fixed_dofs) for s in m.supports] == [
