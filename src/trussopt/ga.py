@@ -19,6 +19,8 @@ touches the generator, so drawing first changes no number.
 """
 
 from dataclasses import dataclass, field, replace
+from numbers import Integral
+from operator import attrgetter
 
 import numpy as np
 
@@ -48,12 +50,23 @@ class GaParams:
     max_generations: int = 200
 
     def __post_init__(self):
+        # each check fails on a NaN; a count is an int, as it sizes arrays
+        # and slices the population
+        for name in ("population_size", "elite_count", "max_generations"):
+            if not isinstance(getattr(self, name), Integral):
+                raise ValueError(f"{name} must be a whole number")
         if self.population_size < 10:
             raise ValueError("population_size must be >= 10")
         if self.max_generations < 0:
             raise ValueError("max_generations must be >= 0")
         if not 0 <= self.elite_count < self.population_size:
             raise ValueError("elite_count must be < population_size")
+        if not 0 <= self.crossover_rate <= 1:
+            raise ValueError("crossover_rate must lie in [0, 1]")
+        if not (self.mutation_rate is None or 0 <= self.mutation_rate <= 1):
+            raise ValueError("mutation_rate must be None or lie in [0, 1]")
+        if not 0 <= self.mutation_sigma_fraction < np.inf:
+            raise ValueError("mutation_sigma_fraction must be finite and >= 0")
 
     def resolved_mutation_rate(self, n_variables):
         return 1.0 / n_variables if self.mutation_rate is None else self.mutation_rate
@@ -198,19 +211,20 @@ def mutate(designs, u, z, lo, hi, mutation_rate, sigma_fraction):
     return clamp(out, lo, hi)
 
 
-def step_generation(pop, model, ga_params, penalty_params):
-    """One generational replacement step; penalty iteration = new generation."""
+def step_generation(pop, model, ga_params, penalty_params, need=None):
+    """One generational replacement step; penalty iteration = new generation.
+    It breeds `need` children (default: the population less its elites)."""
     lo, hi = model.area_bounds()
     mrate = ga_params.resolved_mutation_rate(len(lo))
     new_gen = pop.generation + 1
-    order = sorted(range(len(pop.individuals)),
-                   key=lambda i: pop.individuals[i].penalized)
+    ranked = sorted(pop.individuals, key=attrgetter("penalized"))
     # elites carry over verbatim but their F is refreshed at the new iteration
-    elites = [reevaluate(pop.individuals[i], penalty_params, new_gen)
-              for i in order[:ga_params.elite_count]]
+    elites = [reevaluate(ind, penalty_params, new_gen)
+              for ind in ranked[:ga_params.elite_count]]
 
     parents = select_mating_pool(pop)
-    need = len(pop.individuals) - len(elites)
+    if need is None:
+        need = len(pop.individuals) - len(elites)
     crossing, blend, u, z = draw_children(pop.rng, need, len(lo),
                                           ga_params.crossover_rate)
     # pair p mates parents 2p and 2p + 1 (cyclically); its children take

@@ -7,11 +7,16 @@ launching generation. The SA result replaces a victim drawn with
 probability proportional to inverse fitness (the current best is never
 the victim). One deterministic generator drives everything, so a
 (model, params, seed) triple fully determines the RunRecord.
+
+A run's best design is the first minimum of `_standing` over the designs
+it analyzed: feasible (violation total exactly 0.0) before infeasible,
+then by weight if feasible, else by penalized objective F.
 """
 
 import math
 import time
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -47,8 +52,8 @@ class GenerationStat:
 @dataclass
 class RunRecord:
     history: list                 # GenerationStat per generation
-    best: ga.Individual           # best feasible individual (by weight),
-                                  # or best penalized if none feasible
+    best: ga.Individual           # first minimum of _standing: lightest
+                                  # feasible, else least F
     best_is_feasible: bool
     total_evaluations: int
     wall_time: float
@@ -66,24 +71,18 @@ def remove_victim_index(pop, rng=None):
     return int(rng.choice(len(pop.individuals), p=weights / weights.sum()))
 
 
-def _track_best(current, current_feasible, candidate):
-    cand_feasible = candidate.violation_total == 0.0
-    if current is None:
-        return candidate, cand_feasible
-    if cand_feasible and not current_feasible:
-        return candidate, True
-    if cand_feasible and current_feasible and candidate.weight < current.weight:
-        return candidate, True
-    if not cand_feasible and not current_feasible \
-            and candidate.penalized < current.penalized:
-        return candidate, False
-    return current, current_feasible
+def _standing(ind):
+    # the order of merit of a run's best design; min keeps the first of equals
+    feasible = ind.violation_total == 0.0
+    return (not feasible, ind.weight if feasible else ind.penalized)
 
 
 def run(model, params, seed=0, max_evaluations=None):
     """Full H-SAGA run. `max_evaluations` optionally caps the analysis
-    budget (used for budget-matched comparisons). A mechanism raises
-    ModelError before any design is drawn."""
+    budget (used for budget-matched comparisons): a generation it cuts
+    breeds only the children it has left and is the last, and no SA
+    burst starts once it is spent, but a burst that starts is not cut.
+    A mechanism raises ModelError before any design is drawn."""
     t0 = time.perf_counter()
     analysis.reject_mechanism(model)
     ga_params = params.ga
@@ -91,9 +90,8 @@ def run(model, params, seed=0, max_evaluations=None):
 
     pop = ga.init_population(model, ga_params, penalty_params, seed)
     evals = len(pop.individuals)
-    best, best_feasible = None, False
-    for ind in pop.individuals:
-        best, best_feasible = _track_best(best, best_feasible, ind)
+    budget = math.inf if max_evaluations is None else max_evaluations
+    best = min(pop.individuals, key=_standing)
 
     history = []
 
@@ -104,35 +102,36 @@ def run(model, params, seed=0, max_evaluations=None):
             generation=pop.generation,
             best_F=float(F.min()),
             mean_F=float(finite.mean()) if finite.size else math.inf,
-            best_feasible_weight=best.weight if best_feasible else math.nan,
+            best_feasible_weight=(best.weight if best.violation_total == 0.0
+                                  else math.nan),
             evaluations=evals,
             sa_ran=sa_ran,
         ))
 
     record(False)
-    while pop.generation < ga_params.max_generations:
-        if max_evaluations is not None and evals >= max_evaluations:
-            break
-        pop = ga.step_generation(pop, model, ga_params, penalty_params)
-        evals += len(pop.individuals) - ga_params.elite_count
-        for ind in pop.individuals[ga_params.elite_count:]:
-            best, best_feasible = _track_best(best, best_feasible, ind)
+    while pop.generation < ga_params.max_generations and evals < budget:
+        need = min(ga_params.population_size - ga_params.elite_count,
+                   budget - evals)
+        pop = ga.step_generation(pop, model, ga_params, penalty_params, need)
+        evals += need
+        best = min([best, *pop.individuals[ga_params.elite_count:]],
+                   key=_standing)
 
         sa_ran = False
-        if math.isfinite(params.t_sa) and pop.generation % int(params.t_sa) == 0:
-            order = sorted(range(len(pop.individuals)),
-                           key=lambda i: pop.individuals[i].penalized)
-            top10 = [pop.individuals[i] for i in order[:10]]
+        if evals < budget and math.isfinite(params.t_sa) \
+                and pop.generation % int(params.t_sa) == 0:
+            top10 = sorted(pop.individuals, key=attrgetter("penalized"))[:10]
             sa_best, trace = annealing.sa_run(
                 top10[0], top10, model, params.sa, penalty_params,
                 frozen_iteration=pop.generation, rng=pop.rng)
             evals += len(trace)
-            best, best_feasible = _track_best(best, best_feasible, sa_best)
+            best = min((best, sa_best), key=_standing)
             victim = remove_victim_index(pop)
             pop.individuals[victim] = sa_best
             sa_ran = True
         record(sa_ran)
-    return RunRecord(history=history, best=best, best_is_feasible=best_feasible,
+    return RunRecord(history=history, best=best,
+                     best_is_feasible=best.violation_total == 0.0,
                      total_evaluations=evals,
                      wall_time=time.perf_counter() - t0,
                      seed=seed)
@@ -157,7 +156,7 @@ def compare_plain_ga(model, params, seeds):
     h_w, p_w, h_rec, p_rec = [], [], [], []
     for seed in seeds:
         rec_h = run(model, params, seed=seed)
-        # give the plain GA the hybrid's budget (extra generations allowed)
+        # the plain GA gets the hybrid's exact budget, in as many generations
         budget = rec_h.total_evaluations
         plain_ga = replace(params.ga, max_generations=10 ** 9)
         rec_p = run(model, HybridParams(t_sa=math.inf, ga=plain_ga,

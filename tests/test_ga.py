@@ -32,6 +32,22 @@ def test_params_reject_negative_generations():
         GaParams(max_generations=-3)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("population_size", 12.5), ("elite_count", 1.5), ("max_generations", 2.5),
+    ("max_generations", np.nan), ("crossover_rate", np.nan),
+    ("crossover_rate", 1.5), ("crossover_rate", -0.1),
+    ("mutation_rate", -1.0), ("mutation_rate", 1.5), ("mutation_rate", np.nan),
+    ("mutation_sigma_fraction", np.nan), ("mutation_sigma_fraction", -0.1),
+    ("mutation_sigma_fraction", np.inf),
+])
+def test_params_reject_values_that_break_or_empty_the_ga(field, value):
+    # a NaN rate crossed or mutated nothing and a NaN sigma made every
+    # mutated variable NaN, silently; 2.5 generations ran 3, and a
+    # fractional population or elite count raised TypeError mid-run
+    with pytest.raises(ValueError, match=field):
+        GaParams(**{field: value})
+
+
 def test_default_mutation_rate_is_one_over_n():
     assert GaParams().resolved_mutation_rate(8) == pytest.approx(1 / 8)
     assert GaParams(mutation_rate=0.3).resolved_mutation_rate(8) == 0.3
@@ -158,6 +174,14 @@ def test_best_monotone_with_elitism(small_model):
         new_best = pop.individuals[best_index(pop)].penalized
         assert new_best <= best + 1e-12
         best = new_best
+
+
+def test_step_generation_breeds_the_children_asked_for(small_model):
+    params = GaParams(population_size=10, elite_count=2)
+    pop = init_population(small_model, params, PP, 0)
+    nxt = step_generation(pop, small_model, params, PP, need=3)
+    assert len(nxt.individuals) == 2 + 3
+    assert [i.evaluated_at_generation for i in nxt.individuals] == [1] * 5
 
 
 def test_generation_counter_advances(small_model):

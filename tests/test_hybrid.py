@@ -11,8 +11,8 @@ import pytest
 import trussopt
 from trussopt import benchmarks
 from trussopt.ga import GaParams, Individual, Population
-from trussopt.hybrid import (HybridParams, RunRecord, compare_plain_ga,
-                             remove_victim_index, run)
+from trussopt.hybrid import (HybridParams, RunRecord, _standing,
+                             compare_plain_ga, remove_victim_index, run)
 from trussopt.model import Material, MemberGroup, ModelError, make_model
 
 
@@ -164,10 +164,57 @@ def test_evaluations_strictly_increase(small_model):
 
 
 def test_max_evaluations_caps_budget(small_model):
+    # 10 + 9 per generation: the sixth generation breeds only 5 children
     rec = run(small_model, _small_params(generations=500, t_sa=math.inf),
               seed=0, max_evaluations=60)
-    assert rec.history[-1].generation < 500
-    assert rec.total_evaluations <= 60 + 10  # at most one generation over
+    assert rec.history[-1].generation == 6
+    assert rec.total_evaluations == 60
+
+
+def test_budget_cut_generation_is_last_and_starts_no_burst(small_model):
+    # a cut generation leaves fewer than the 10 designs a burst needs, so
+    # the run must end there rather than anneal
+    params = _small_params(generations=8, t_sa=1)
+    full = run(small_model, params, seed=4)
+    budget = full.history[3].evaluations + 4
+    rec = run(small_model, params, seed=4, max_evaluations=budget)
+    assert rec.total_evaluations == rec.history[-1].evaluations == budget
+    assert [s.generation for s in rec.history] == [0, 1, 2, 3, 4]
+    assert [s.sa_ran for s in rec.history] == [False, True, True, True, False]
+    assert [s.evaluations for s in rec.history[:4]] \
+        == [s.evaluations for s in full.history[:4]]
+
+
+def _track_best_reference(individuals):
+    # the order of merit as explicit rules: a feasible design displaces an
+    # infeasible best, and otherwise only a strictly lower weight
+    # (both feasible) or F (both infeasible) displaces the best
+    best = individuals[0]
+    for cand in individuals[1:]:
+        cand_ok = cand.violation_total == 0.0
+        best_ok = best.violation_total == 0.0
+        if (cand_ok and not best_ok
+                or cand_ok and best_ok and cand.weight < best.weight
+                or not cand_ok and not best_ok
+                and cand.penalized < best.penalized):
+            best = cand
+    return best
+
+
+def test_best_of_run_rule_matches_the_explicit_rules():
+    rng = np.random.default_rng(0)
+    values = np.array([1.0, 2.0, 3.0, math.inf])   # few values: many ties
+    for _ in range(2000):
+        n = int(rng.integers(1, 8))
+        individuals = [
+            Individual(design=np.zeros(1), weight=float(rng.choice(values)),
+                       violation_total=float(rng.choice([0.0, 0.0, 0.5,
+                                                         math.inf])),
+                       penalized=float(rng.choice(values)),
+                       evaluated_at_generation=1)
+            for _ in range(n)]
+        assert min(individuals, key=_standing) \
+            is _track_best_reference(individuals)
 
 
 def test_best_is_reverified_feasible(small_model):
@@ -212,8 +259,9 @@ def test_compare_budgets_match(small_model):
     summary = compare_plain_ga(small_model, _small_params(generations=6),
                                seeds=[0, 1, 2, 3, 4])
     for rh, rp in zip(summary.hybrid_records, summary.plain_records):
-        # plain arm stops within one generation of the hybrid's budget
+        # the plain arm spends exactly the hybrid's budget
         assert rp.total_evaluations <= rh.total_evaluations + 10
+        assert rp.total_evaluations == rh.total_evaluations
     assert len(summary.hybrid_weights) == 5
     assert summary.hybrid_median == np.median(summary.hybrid_weights)
 
