@@ -12,9 +12,8 @@ Subpackages:
   cli         command-line interface
 """
 
-from .model import (BucklingSpec, DisplacementLimit, Material, MemberGroup,
-                    ModelError, TrussModel, ValidationError, make_model,
-                    validate)
+from .model import (Material, MemberGroup, ModelError, TrussModel,
+                    ValidationError, make_model, validate)
 from .analysis import (AnalysisError, AnalysisResult, Analyzer,
                        SingularStructure, analyze, structure_weight)
 from .penalty import (ConstraintReport, PenaltyParams, default_penalty_params,

@@ -217,20 +217,19 @@ class Analyzer:
         # group does not buckle
         upper, lower, K = np.array(
             [(g.stress_tension_limit, -g.stress_compression_limit,
-              np.nan if g.buckling is None else g.buckling.K)
+              np.nan if g.buckling_k is None else g.buckling_k)
              for g in model.groups], dtype=float).reshape(-1, 3).T
         buckles = ~np.isnan(K[self.group_of])
         rows = 1 + buckles                 # an element's rows: 1 or 2
         member_source = np.repeat(np.arange(n_el), rows)
         member_group = self.group_of[member_source]
         self.buckling_row = (np.cumsum(rows) - 1)[buckles]
+        limits = model.displacement_limits
         self._limit_dofs = np.array(
-            [3 * nid + DOF_NAMES.index(dof)
-             for dl in model.displacement_limits
-             for nid in sorted(dl.nodes) for dof in sorted(dl.dofs)], dtype=int)
-        limit = np.repeat([dl.limit for dl in model.displacement_limits],
-                          [len(dl.nodes) * len(dl.dofs)
-                           for dl in model.displacement_limits])
+            [3 * nid + DOF_NAMES.index(dof) for nodes, dofs, _ in limits
+             for nid in sorted(nodes) for dof in sorted(dofs)], dtype=int)
+        limit = np.repeat([lim for _, _, lim in limits],
+                          [len(nodes) * len(dofs) for nodes, dofs, _ in limits])
         self.row_source = np.concatenate((member_source,
                                           n_el + dof_row[self._limit_dofs]))
         self.row_upper = np.concatenate((upper[member_group], limit))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis
-from .model import BucklingSpec, Material, MemberGroup, make_model
+from .model import Material, MemberGroup, make_model
 from .penalty import evaluate_constraints
 
 
@@ -77,7 +77,7 @@ def _eighteen_bar():
             3: 2, 7: 2, 11: 2, 15: 2,
             5: 3, 9: 3, 13: 3, 17: 3}
     elements = [(a, b, gmap[i + 1]) for i, (a, b) in enumerate(conn)]
-    groups = [MemberGroup(0.1, 50.0, 20.0, 20.0, BucklingSpec(4.0))] * 4
+    groups = [MemberGroup(0.1, 50.0, 20.0, 20.0, 4.0)] * 4
     loads = [{n: (0, -20) for n in (0, 1, 3, 5, 7)}]
     return make_model(
         "18bar", nodes, elements, groups, Material(10000.0, 0.1),

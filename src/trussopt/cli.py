@@ -17,7 +17,9 @@ below its limit). `run` and
 `compare` reject optimizer parameters that GaParams or HybridParams
 refuse (say `--tsa 2.5` or `--population 5`), a negative `--seed` and
 `compare --seeds` below 5 as usage errors too, before they read the
-model. The argument parser is built on the first `main`
+model. An `--out` directory that cannot be made (say, an existing file)
+is a usage error found after the model is read and before the run. The
+argument parser is built on the first `main`
 call and reused by every later call in the process: parsing fills a
 fresh namespace and never writes to the parser.
 """
@@ -116,10 +118,23 @@ def _result_document(model, record):
     }
 
 
+def _make_output_dir(path):
+    """Make the directory `path` if it is missing; False, with the reason
+    printed, if it cannot be made."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot create output directory {path}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def cmd_run(args, model):
-    record = hybrid.run(model, args.params, seed=args.seed)
     out = args.out or os.path.join("runs", f"{model.name}-seed{args.seed}")
-    os.makedirs(out, exist_ok=True)
+    if not _make_output_dir(out):
+        return 1
+    record = hybrid.run(model, args.params, seed=args.seed)
     write_convergence_csv(os.path.join(out, "convergence.csv"), record.history)
     doc = _result_document(model, record)
     with open(os.path.join(out, "result.json"), "w") as fh:
@@ -148,6 +163,8 @@ def cmd_verify(args, model):
 
 
 def cmd_compare(args, model):
+    if args.out and not _make_output_dir(args.out):
+        return 1
     seeds = list(range(args.seed, args.seed + args.seeds))
     summary = hybrid.compare_plain_ga(model, args.params, seeds)
     print("seed  hybrid_weight  plain_weight")
@@ -157,7 +174,6 @@ def cmd_compare(args, model):
     print(f"median hybrid {summary.hybrid_median:.2f} lb, "
           f"plain {summary.plain_median:.2f} lb")
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         for tag, recs in (("hybrid", summary.hybrid_records),
                           ("plain", summary.plain_records)):
             for rec in recs:

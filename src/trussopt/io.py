@@ -24,7 +24,7 @@ displacement limits, the material and the document itself are read by
 import json
 from operator import itemgetter
 
-from .model import (DOF_NAMES, BucklingSpec, Material, MemberGroup, ModelError,
+from .model import (DOF_NAMES, Material, MemberGroup, ModelError,
                     ValidationError, make_model)
 
 
@@ -193,10 +193,8 @@ def parse_model(text):
     nodes = list(zip(*_in_id_order(ids, xyz, "nodes", "BadNodeIds")))
     ids, *fields = _columns(raw_groups, _GROUP, "groups[{}]",
                             optional=("buckling_k",))
-    groups = [MemberGroup(area_min, area_max, tension, compression,
-                          None if k is None else BucklingSpec(K=k))
-              for area_min, area_max, tension, compression, k in zip(
-                  *_in_id_order(ids, fields, "groups", "BadGroupIds"))]
+    groups = [MemberGroup(*group) for group in zip(
+        *_in_id_order(ids, fields, "groups", "BadGroupIds"))]
     ids, *abg = _columns(raw_elements, _ELEMENT, "elements[{}]")
     elements = list(zip(*_in_id_order(ids, abg, "elements", "BadIds")))
     supports = list(zip(*_columns(raw_supports, _SUPPORT, "supports[{}]")))
@@ -234,20 +232,20 @@ def serialize_model(model):
             {"id": i, "area_min": g.area_min, "area_max": g.area_max,
              "stress_tension": _limit_out(g.stress_tension_limit),
              "stress_compression": _limit_out(g.stress_compression_limit),
-             **({"buckling_k": g.buckling.K} if g.buckling is not None else {})}
+             **({"buckling_k": g.buckling_k} if g.buckling_k is not None else {})}
             for i, g in enumerate(model.groups)],
         "elements": [{"id": i, "a": a, "b": b, "group": g}
                      for i, (a, b, g) in enumerate(model.elements)],
-        "supports": [{"node": s.node, "fixed": sorted(s.fixed_dofs)}
-                     for s in model.supports],
+        "supports": [{"node": node, "fixed": sorted(dofs)}
+                     for node, dofs in model.supports],
         "load_cases": [
             {"id": i,
              "loads": [{"node": nid, "fx": f[0], "fy": f[1], "fz": f[2]}
                        for nid, f in loads]}
             for i, loads in enumerate(model.load_cases)],
         "displacement_limits": [
-            {"nodes": sorted(dl.nodes), "dofs": sorted(dl.dofs),
-             "limit": dl.limit} for dl in model.displacement_limits],
+            {"nodes": sorted(nodes), "dofs": sorted(dofs), "limit": limit}
+            for nodes, dofs, limit in model.displacement_limits],
     }
     return json.dumps(doc, indent=2)
 

@@ -3,8 +3,10 @@
 Units are imperial throughout: coordinates in inches, areas in in^2,
 forces in kips, stresses in ksi, weight density in lb/in^3, weight in lb.
 Nodes are the rows of one read-only (n_nodes, 3) coordinate array,
-elements are (node_a, node_b, group) triples of Python ints, and a load
-case is a tuple of (node, (fx, fy, fz)) pairs. Every id is a position:
+elements are (node_a, node_b, group) triples of Python ints, a load
+case is a tuple of (node, (fx, fy, fz)) pairs, a support is a (node,
+frozenset of dof names) pair and a displacement limit is a (frozenset of
+nodes, frozenset of dof names, limit) triple. Every id is a position:
 node i is row i, element i, group i (design variable i) and load case i
 are the i-th entries of their tuples. Planar models simply keep every z
 coordinate and z load at zero; make_model then fixes the z dofs through
@@ -46,18 +48,12 @@ class ValidationError(ModelError):
 
 
 @dataclass(frozen=True)
-class BucklingSpec:
-    """Euler buckling activation for a member group; K is dimensionless."""
-    K: float
-
-
-@dataclass(frozen=True)
 class MemberGroup:
     area_min: float
     area_max: float
     stress_tension_limit: float      # ksi, magnitude (> 0, may be inf)
     stress_compression_limit: float  # ksi, magnitude (> 0, may be inf)
-    buckling: Optional[BucklingSpec] = None
+    buckling_k: Optional[float] = None  # Euler constant K; None: no buckling
 
 
 @dataclass(frozen=True)
@@ -66,35 +62,25 @@ class Material:
     weight_density: float   # lb/in^3 (weight density, gravity already folded in)
 
 
-@dataclass(frozen=True)
-class SupportSpec:
-    node: int
-    fixed_dofs: frozenset  # subset of {"x", "y", "z"}
-
-
-@dataclass(frozen=True)
-class DisplacementLimit:
-    nodes: frozenset   # node ids
-    dofs: frozenset    # subset of {"x", "y", "z"}
-    limit: float       # inches, symmetric bound +/- limit
-
-
 @dataclass(frozen=True, eq=False)
 class TrussModel:
     """Complete immutable truss definition.
 
-    Instances are compared by identity (eq=False) so they stay hashable
-    and key per-model caches such as analysis.get_analyzer's;
-    io.models_equal compares content.
+    Supports are (node, frozenset of fixed dof names) pairs, and
+    displacement limits are (frozenset of nodes, frozenset of dof names,
+    limit) triples: each named dof of each named node stays within
+    +/- limit inches. Instances are compared by identity (eq=False) so
+    they stay hashable and key per-model caches such as
+    analysis.get_analyzer's; io.models_equal compares content.
     """
     name: str
     coords: np.ndarray   # (n_nodes, 3) inches, read-only; row i is node i
     elements: tuple      # (node_a, node_b, group) ints; element i
     groups: tuple        # MemberGroup; group i is design variable i
     material: Material
-    supports: tuple
+    supports: tuple      # (node, fixed dofs) pairs
     load_cases: tuple    # per case, sorted (node, (fx, fy, fz)) pairs in kips
-    displacement_limits: tuple = ()
+    displacement_limits: tuple = ()  # (nodes, dofs, limit) triples
     provenance: str = ""
 
     @property
@@ -118,8 +104,8 @@ class TrussModel:
     def fixed_dof_mask(self):
         """Boolean (n_nodes * 3,) mask of dofs eliminated by supports."""
         mask = np.zeros(self.n_nodes * 3, dtype=bool)
-        mask[[3 * s.node + _DOF_INDEX[d]
-              for s in self.supports for d in s.fixed_dofs]] = True
+        mask[[3 * node + _DOF_INDEX[d]
+              for node, dofs in self.supports for d in dofs]] = True
         return mask
 
 
@@ -160,9 +146,12 @@ def make_model(name, nodes, elements, groups, material, supports, load_cases,
         force gets fz = 0, and each case keeps its loads sorted.
     displacement_limits: list of (nodes, dofs, limit).
 
-    Planar models (all z == 0, no z loads) get one support per node: z
-    fixed, unioned with every entry that names the node. An entry that
-    names no node is kept after them, for validate to report.
+    The model keeps each support as a (node, frozenset of dofs) pair and
+    each displacement limit as a (frozenset of nodes, frozenset of dofs,
+    float limit) triple. Planar models (all z == 0, no z loads) get one
+    support per node: z fixed, unioned with every entry that names the
+    node. An entry that names no node is kept after them, for validate to
+    report.
     """
     rows = [c if len(c) == 3 else (*c, 0.0) for c in nodes]
     coords = np.array(rows, dtype=float).reshape(len(rows), 3)
@@ -177,17 +166,16 @@ def make_model(name, nodes, elements, groups, material, supports, load_cases,
 
     supports = [(int(node_id), frozenset(dofs)) for node_id, dofs in supports]
     if planar:
-        fixed = [{"z"} for _ in rows]
+        fixed = [frozenset("z")] * len(rows)
         dangling = []
         for node, dofs in supports:
             if 0 <= node < len(rows):
-                fixed[node] |= dofs
+                fixed[node] = fixed[node] | dofs
             else:
                 dangling.append((node, dofs))
         supports = [*enumerate(fixed), *dangling]
 
-    limits = tuple(DisplacementLimit(nodes=frozenset(map(int, node_ids)),
-                                     dofs=frozenset(dofs), limit=float(limit))
+    limits = tuple((frozenset(map(int, node_ids)), frozenset(dofs), float(limit))
                    for node_ids, dofs, limit in displacement_limits)
 
     model = TrussModel(
@@ -196,8 +184,7 @@ def make_model(name, nodes, elements, groups, material, supports, load_cases,
         elements=elements,
         groups=tuple(groups),
         material=material,
-        supports=tuple(SupportSpec(node=node, fixed_dofs=frozenset(dofs))
-                       for node, dofs in supports),
+        supports=tuple(supports),
         load_cases=cases,
         displacement_limits=limits,
         provenance=provenance,
@@ -252,12 +239,13 @@ def validate(model):
             problems.append(("NonFiniteLength", f"element {i} has a non-finite length"))
     used_groups = set(map(itemgetter(2), model.elements))
 
-    # 0 < area_min <= area_max < inf also fails on a NaN
+    # 0 < area_min <= area_max < inf also fails on a NaN, as do the
+    # 0 < x < inf checks of the buckling and material constants
     for i, g in [(i, g) for i, g in enumerate(model.groups)
                  if not (0 < g.area_min <= g.area_max < math.inf
                          and g.stress_tension_limit > 0
                          and g.stress_compression_limit > 0
-                         and (g.buckling is None or g.buckling.K > 0)
+                         and (g.buckling_k is None or 0 < g.buckling_k < math.inf)
                          and i in used_groups)]:
         if not all(map(math.isfinite, (g.area_min, g.area_max))):
             problems.append(("NonFiniteBound", f"group {i} has a non-finite area bound"))
@@ -265,22 +253,23 @@ def validate(model):
             problems.append(("NonPositiveLimit", f"group {i} needs 0 < area_min <= area_max"))
         if not (g.stress_tension_limit > 0 and g.stress_compression_limit > 0):
             problems.append(("NonPositiveLimit", f"group {i} stress limits must be positive"))
-        if g.buckling is not None and not g.buckling.K > 0:
-            problems.append(("NonPositiveLimit", f"group {i} buckling constant must be positive"))
+        if g.buckling_k is not None and not 0 < g.buckling_k < math.inf:
+            problems.append(("NonPositiveLimit", f"group {i} buckling constant must be positive and finite"))
         if i not in used_groups:
             problems.append(("EmptyGroup", f"group {i} has no elements"))
 
-    if not (model.material.elastic_modulus > 0 and model.material.weight_density > 0):
-        problems.append(("NonPositiveLimit", "material constants must be positive"))
+    if not (0 < model.material.elastic_modulus < math.inf
+            and 0 < model.material.weight_density < math.inf):
+        problems.append(("NonPositiveLimit", "material constants must be positive and finite"))
 
     dof_names = set(DOF_NAMES)
-    for s in [s for s in model.supports
-              if not (0 <= s.node < n and s.fixed_dofs <= dof_names)]:
-        if not (0 <= s.node < n):
-            problems.append(("DanglingReference", f"support references missing node {s.node}"))
-        bad = s.fixed_dofs.difference(DOF_NAMES)
+    for node, dofs in [(node, dofs) for node, dofs in model.supports
+                       if not (0 <= node < n and dofs <= dof_names)]:
+        if not (0 <= node < n):
+            problems.append(("DanglingReference", f"support references missing node {node}"))
+        bad = dofs.difference(DOF_NAMES)
         if bad:
-            problems.append(("UnknownDof", f"support on node {s.node} fixes unknown dofs {sorted(bad, key=str)}"))
+            problems.append(("UnknownDof", f"support on node {node} fixes unknown dofs {sorted(bad, key=str)}"))
 
     # per load case, one pass over its nodes and one over its force
     # values; only a case that fails one looks for its faulty loads
@@ -301,13 +290,13 @@ def validate(model):
     if not model.load_cases:
         problems.append(("NoLoadCase", "model has no load case"))
 
-    for dl in model.displacement_limits:
-        if not dl.limit > 0:
+    for nodes, dofs, limit in model.displacement_limits:
+        if not limit > 0:
             problems.append(("NonPositiveLimit", "displacement limit must be positive"))
-        for nid in dl.nodes:
+        for nid in nodes:
             if not (0 <= nid < n):
                 problems.append(("DanglingReference", f"displacement limit references missing node {nid}"))
-        bad = dl.dofs.difference(DOF_NAMES)
+        bad = dofs.difference(DOF_NAMES)
         if bad:
             problems.append(("UnknownDof", f"displacement limit names unknown dofs {sorted(bad, key=str)}"))
 

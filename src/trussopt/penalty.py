@@ -29,10 +29,11 @@ class PenaltyParams:
     beta_exp: float = 1.0   # exponent on the iteration counter
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if self.beta_exp < 0:
-            raise ValueError("beta_exp must be non-negative")
+        # written so that a NaN fails each check
+        if not 0 < self.alpha < np.inf:
+            raise ValueError("alpha must be finite and > 0")
+        if not 0 <= self.beta_exp < np.inf:
+            raise ValueError("beta_exp must be finite and >= 0")
 
 
 def default_penalty_params(model):

@@ -15,8 +15,8 @@ import trussopt
 from trussopt import analysis, benchmarks, io
 from trussopt.analysis import (Analyzer, SingularStructure, analyze,
                                reject_mechanism, structure_weight)
-from trussopt.model import (BucklingSpec, Material, MemberGroup, ModelError,
-                            clamp, make_model)
+from trussopt.model import (Material, MemberGroup, ModelError, clamp,
+                            make_model)
 from trussopt.penalty import evaluate_constraints
 
 
@@ -199,7 +199,7 @@ def test_buckling_stress_limit_formula():
     def bar(push):
         return make_model(
             "buck", [(0, 0), (100, 0)], [(0, 1, 0)],
-            [MemberGroup(0.1, 10.0, 25.0, 25.0, BucklingSpec(4.0))],
+            [MemberGroup(0.1, 10.0, 25.0, 25.0, 4.0)],
             Material(10000.0, 0.1), [(0, "xy"), (1, "y")], [{1: (-push, 0)}])
     m = bar(32.0)
     report = evaluate_constraints(analyze(m, [2.0]))
@@ -309,7 +309,7 @@ def test_evaluate_many_is_evaluate_byte_for_byte(name):
 
 def _buckling(model):
     """The model with an Euler buckling constant on every group."""
-    groups = tuple(dataclasses.replace(g, buckling=BucklingSpec(4.0))
+    groups = tuple(dataclasses.replace(g, buckling_k=4.0)
                    for g in model.groups)
     return dataclasses.replace(model, groups=groups)
 
@@ -427,14 +427,14 @@ def _constraint_table_by_loop(model):
         g = model.groups[gid]
         rows.append((i, g.stress_tension_limit, -g.stress_compression_limit,
                      "stress", {"element": i}))
-        if g.buckling is not None:
+        if g.buckling_k is not None:
             rows.append((i, np.inf, np.nan, "buckling", {"element": i}))
-    for dl in model.displacement_limits:
-        for nid in sorted(dl.nodes):
-            for dof in sorted(dl.dofs):
+    for nodes, dofs, limit in model.displacement_limits:
+        for nid in sorted(nodes):
+            for dof in sorted(dofs):
                 d = 3 * nid + "xyz".index(dof)
                 row = free.index(d) if d in free else len(free)
-                rows.append((n_el + row, dl.limit, -dl.limit,
+                rows.append((n_el + row, limit, -limit,
                              "displacement", {"node": nid, "dof": dof}))
     return rows
 

@@ -383,6 +383,25 @@ def test_bad_optimizer_parameters_exit_1(tmp_path, capsys, command, option):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_unmakeable_out_dir_exit_1_before_the_run(tmp_path, capsys,
+                                                  monkeypatch, command):
+    # an existing file as --out ended in a FileExistsError traceback, and
+    # only after the whole optimization had run
+    def no_run(*args, **kwargs):
+        raise AssertionError("the optimizer ran")
+    monkeypatch.setattr(hybrid, "run", no_run)
+    monkeypatch.setattr(hybrid, "compare_plain_ga", no_run)
+    out = tmp_path / "file"
+    out.write_text("")
+    argv = [command, "--model", "builtin:10bar-case1", "--generations", "1",
+            "--population", "10", "--out", str(out)]
+    assert main(argv) == 1
+    assert (f"error: cannot create output directory {out}: File exists"
+            in capsys.readouterr().err)
+    assert out.read_text() == ""
+
+
 @pytest.mark.parametrize("command, option, flag", [
     ("run", ["--seed", "-1"], "--seed"),
     ("compare", ["--seed", "-1"], "--seed"),

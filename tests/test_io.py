@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -15,6 +16,27 @@ def test_round_trip_identity_on_builtins(name):
     assert models_equal(model, again)
     # a second round trip is textually identical
     assert serialize_model(again) == text
+
+
+# sha256 of serialize_model's text for each built-in: the documents a
+# user writes out must not change by a byte when the model's containers do
+DOCUMENT_SHA256 = {
+    "10bar-case1": "eb767d520da9345c13ee1dc7101330d83ee18e25767dcfb370c130b172261d6a",
+    "10bar-case2": "69bed8bcc6b074dc765ef4918defa2ed2a56d7897267ddfb2b783a5273b0f967",
+    "17bar": "f5ecd7fd7f723ed30cd1bf27255eaa833a8b25e84b27f91ae9f86bb30d12e234",
+    "18bar": "a9af52c4fa54a63b0d96c545ac3658c81ca7d92cf4332ec8e7f42458ecabf848",
+    "200bar": "9d8f6772c6034b3eb3610ded4c6f3eb7b5b55f8bdd91d0fcf6a0b386eae13990",
+    "22bar": "974b97cebe6ea83d0bf00a6e43c959f7723bdf3d5aa2ad54c0303749665358ed",
+    "25bar": "513dc6666b7f172a88b670eff733a0b85fd9a0e431fc6a33b40158cb1fe9f265",
+    "72bar": "df5bd1b4c665d5dbb76d1ca159fbf9d80d878a0892019a65ead6b321f52e12c8",
+}
+
+
+def test_builtin_documents_are_pinned():
+    assert sorted(DOCUMENT_SHA256) == sorted(benchmarks.builtin_names())
+    for name, digest in DOCUMENT_SHA256.items():
+        text = serialize_model(benchmarks.get_builtin(name))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, name
 
 
 def test_loads_in_any_order_give_the_sorted_model():

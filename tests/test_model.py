@@ -25,8 +25,8 @@ def _make(nodes=((0, 0), (100, 0)), elements=((0, 1, 0),), groups=None,
 
 def test_planar_models_fix_z_everywhere():
     m = _make()
-    for s in m.supports:
-        assert "z" in s.fixed_dofs
+    for _, dofs in m.supports:
+        assert "z" in dofs
     assert (m.coords[:, 2] == 0.0).all()
 
 
@@ -96,6 +96,27 @@ def test_non_finite_area_bound_rejected(area_min, area_max):
         ("NonFiniteBound", "group 0 has a non-finite area bound")]
 
 
+@pytest.mark.parametrize("material, buckling_k, message", [
+    (Material(float("inf"), 0.1), None,
+     "material constants must be positive and finite"),
+    (Material(10000.0, float("inf")), None,
+     "material constants must be positive and finite"),
+    (Material(float("nan"), 0.1), None,
+     "material constants must be positive and finite"),
+    (MAT, float("inf"), "group 0 buckling constant must be positive and finite"),
+    (MAT, float("nan"), "group 0 buckling constant must be positive and finite"),
+    (MAT, 0.0, "group 0 buckling constant must be positive and finite")])
+def test_non_finite_material_or_buckling_constant_rejected(material, buckling_k,
+                                                           message):
+    # an inf modulus gave NaN margins and an inf density an inf weight, and
+    # an inf buckling constant gave buckling rows that never bind
+    with pytest.raises(ValidationError) as exc:
+        make_model("t", [(0, 0), (100, 0)], [(0, 1, 0)],
+                   [MemberGroup(0.1, 10.0, 25.0, 25.0, buckling_k)], material,
+                   [(0, "xy"), (1, "y")], [{1: (10, 0)}])
+    assert exc.value.problems == [("NonPositiveLimit", message)]
+
+
 def test_all_dofs_fixed_rejected():
     with pytest.raises(ValidationError) as exc:
         _make(supports=[(0, "xy"), (1, "xy")])
@@ -147,7 +168,7 @@ def test_unknown_displacement_limit_dof_rejected():
 
 def test_z_load_makes_a_flat_model_3d():
     m = _make(loads=({1: (10, 0, 7)},))
-    assert [(s.node, s.fixed_dofs) for s in m.supports] == [
+    assert list(m.supports) == [
         (0, frozenset("xy")), (1, frozenset("y"))]
 
 
@@ -191,7 +212,7 @@ def test_overflowing_length_rejected_and_located():
 
 def test_planar_supports_union_every_entry_of_a_node():
     m = _make(supports=[(0, "x"), (1, "y"), (0, ["y"])])
-    assert [(s.node, s.fixed_dofs) for s in m.supports] == [
+    assert list(m.supports) == [
         (0, frozenset("xyz")), (1, frozenset("yz"))]
 
 
@@ -208,6 +229,6 @@ def test_3d_supports_keep_every_entry():
     m = make_model("t3", [(0, 0, 0), (0, 0, 100), (100, 0, 100)],
                    [(0, 1, 0), (1, 2, 0), (0, 2, 0)], _groups(),
                    MAT, [(0, "xy"), (2, "xyz"), (0, "z")], [{1: (0, 5, -5)}])
-    assert [(s.node, s.fixed_dofs) for s in m.supports] == [
+    assert list(m.supports) == [
         (0, frozenset("xy")), (2, frozenset("xyz")), (0, frozenset("z"))]
     assert m.fixed_dof_mask().sum() == 6

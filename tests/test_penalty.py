@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from trussopt import analysis
-from trussopt.model import (BucklingSpec, Material, MemberGroup, make_model)
+from trussopt.model import (Material, MemberGroup, make_model)
 from trussopt.penalty import (PenaltyParams, default_penalty_params,
                               evaluate_constraints, penalized_objective,
                               penalty)
@@ -66,6 +66,16 @@ def test_params_validation():
         PenaltyParams(alpha=1.0, beta_exp=-0.1)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("alpha", float("nan")), ("alpha", float("inf")), ("alpha", -1.0),
+    ("beta_exp", float("nan")), ("beta_exp", float("inf"))])
+def test_params_reject_values_that_poison_the_objective(field, value):
+    # a NaN or inf constructed, and a run then died in the GA's selection
+    # on "Probabilities contain NaN"
+    with pytest.raises(ValueError, match=field):
+        PenaltyParams(**{"alpha": 1000.0, field: value})
+
+
 def test_default_alpha_is_all_max_weight(two_bar):
     params = default_penalty_params(two_bar)
     _, hi = two_bar.area_bounds()
@@ -88,7 +98,7 @@ def test_buckling_constraint_uses_area_dependent_limit():
     # compression 10 ksi; Euler bound -K E A / L^2 = -4 ksi at A = 1
     m = make_model(
         "buck", [(0, 0), (100, 0)], [(0, 1, 0)],
-        [MemberGroup(0.1, 10.0, 100.0, 100.0, BucklingSpec(1.0))],
+        [MemberGroup(0.1, 10.0, 100.0, 100.0, 1.0)],
         Material(10000.0, 0.1), [(1, "xy"), (0, "y")], [{0: (10.0, 0.0)}])
     res = analysis.analyze(m, [1.0])
     assert res.cases[0].element_stresses[0] == pytest.approx(-10.0, rel=1e-10)
