@@ -7,6 +7,7 @@ Subpackages:
   ga          real-coded genetic algorithm
   annealing   simulated annealing with dynamic neighborhood contraction
   hybrid      H-SAGA orchestrator and budget-matched comparisons
+  polish      MMA polish of a run's best design (loaded by hybrid.run)
   benchmarks  built-in canonical truss benchmarks with reference optima
   io          JSON model documents
   cli         command-line interface

@@ -313,9 +313,7 @@ class Analyzer:
         except SingularStructure:
             return areas, np.inf, np.inf
         _, margins, in_force = self._margins(areas, X)
-        # the same 1-D sequence as margins[in_force], so the same sum
-        g = margins.ravel() if in_force is None else margins[in_force]
-        return areas, self.structure_weight(areas), float(np.maximum(g, 0.0).sum())
+        return self._evaluation(areas, margins, in_force)
 
     def evaluate_many(self, designs):
         """`evaluate` over the rows of a (B, n_groups) array: a list with
@@ -344,29 +342,96 @@ class Analyzer:
                 else (a, np.inf, np.inf)
                 for ok, a, v, g in zip(solved, areas, volumes, excess)]
 
+    def sensitivities(self, areas):
+        """A design's evaluation with the derivatives of its margins, by
+        the direct method: (what `evaluate` returns, bit for bit, the
+        (n_cases, n_rows) margins g, their in-force mask, and dg/dA shaped
+        (n_groups, n_cases, n_rows)). Where `factorize` raises
+        SingularStructure, the evaluation is `evaluate`'s (areas, inf,
+        inf) and the other three are None.
+
+        It costs one factorization and two banded solves: the loads, then
+        n_groups * n_cases right-hand sides. Since dK/dA_g u = sum over
+        the elements e of g of sigma_e d_e, the solution derivative
+        dX/dA_g solves K dX = -sum sigma_e d_e on e's dofs in every case;
+        it goes through the stress kernel and the takes of `_margins` and
+        is divided by the limit of q's sign. A compressed buckling row
+        also moves with its own group's Euler bound."""
+        areas = clamp(np.asarray(areas, dtype=float), self.area_lo, self.area_hi)
+        try:
+            factor = self.factorize(areas)
+        except SingularStructure:
+            return (areas, np.inf, np.inf), None, None, None
+        X = dpbtrs(factor, self._rhs, lower=1)[0].ravel(order="F")
+        source, margins, in_force = self._margins(areas, X)
+        evaluation = self._evaluation(areas, margins, in_force)
+        if in_force is None:
+            in_force = np.ones(margins.shape, dtype=bool)
+
+        # the right-hand sides of every (group, case), each laid out as the
+        # padded loads; the pad row, which every fixed dof hits, is zeroed
+        n_groups, width = len(areas), self._rhs.size
+        stresses = source[:len(self._d6_stacked)]
+        at = (np.tile(self.group_of, self._rhs.shape[1])[:, None] * width
+              + self._elem_take)
+        rhs = np.bincount(at.ravel(),
+                          weights=(-stresses[:, None] * self._d6_stacked).ravel(),
+                          minlength=n_groups * width).reshape(-1, self.n_free + 1)
+        rhs[:, -1] = 0.0
+        dX = dpbtrs(factor, rhs.T, lower=1)[0].T.reshape(n_groups, width)
+
+        q = source.take(self._q_take)
+        limit, _ = self._limits(areas, q)
+        jacobian = self._source(dX).take(self._q_take, axis=-1) / limit
+        if self.buckling_row.size:
+            # g = q/lower - 1 with lower = coeff*A/L^2 on a compressed
+            # buckling row; in tension its limit is inf and the term is 0
+            rows = self.buckling_row
+            jacobian[self.buckling_group, :, rows] -= (
+                q[:, rows] / limit[:, rows] ** 2
+                * (self.buckling_coeff / self.buckling_L2)).T
+        return evaluation, margins, in_force, jacobian
+
     def _solve(self, areas):
         """The padded solution at a float design, its load cases end to
         end. Raises SingularStructure where `factorize` does."""
         return dpbtrs(self.factorize(areas), self._rhs, lower=1)[0].ravel(order="F")
 
+    def _evaluation(self, areas, margins, in_force):
+        # the same 1-D sequence as margins[in_force], so the same sum
+        g = margins.ravel() if in_force is None else margins[in_force]
+        return areas, self.structure_weight(areas), float(np.maximum(g, 0.0).sum())
+
+    def _source(self, X):
+        """The stresses of every load case followed by X, for one padded
+        solution or a stack of them (a leading axis)."""
+        elong = np.einsum("ij,...ij->...i", self._d6_stacked,
+                          X.take(self._elem_take, axis=-1))
+        return np.concatenate((self.E * elong / self._lengths_stacked, X),
+                              axis=-1)
+
     def _margins(self, areas, X):
         """The post-solve of one design, (n_groups,) areas and padded
         solution X, or of a stack, (B, n_groups) and (B, X.size). Return
-        the source, the stresses of every load case followed by X, the
-        (n_cases, n_rows) margins g over the constraint table, and their
-        in-force mask, or None when every entry is in force (a model
-        without buckling rows); a stack gives each a leading axis.
+        the source (`_source`), the (n_cases, n_rows) margins g over the
+        constraint table, and their in-force mask, or None when every
+        entry is in force (a model without buckling rows); a stack gives
+        each a leading axis.
 
         Stress: against the tension limit for positive stress, the
         compression limit magnitude for negative. Buckling: against the
         area-dependent Euler bound -K*E*A/L^2, in force only under
         compression. Displacement: |u|/limit - 1.
         """
-        elong = np.einsum("ij,...ij->...i", self._d6_stacked,
-                          X.take(self._elem_take, axis=-1))
-        source = np.concatenate((self.E * elong / self._lengths_stacked, X),
-                                axis=-1)
+        source = self._source(X)
         q = source.take(self._q_take, axis=-1)
+        limit, in_force = self._limits(areas, q)
+        # q/limit = |q|/|limit|
+        return source, q / limit - 1.0, in_force
+
+    def _limits(self, areas, q):
+        """The limit of each constraint quantity q, the one of q's sign
+        (so q/limit = |q|/|limit|), and the in-force mask, or None."""
         lower = self.row_lower
         in_force = None
         if self.buckling_row.size:
@@ -379,9 +444,7 @@ class Analyzer:
                                           / self.buckling_L2).T
             lower = lower[..., None, :]
             in_force = (q < 0) | self._not_buckling
-        # the limit takes the sign of q, so q/limit = |q|/|limit|
-        margins = q / np.where(q >= 0, self.row_upper, lower) - 1.0
-        return source, margins, in_force
+        return np.where(q >= 0, self.row_upper, lower), in_force
 
     def constraint_labels(self, mask):
         """The label of each true entry of an (n_cases, n_rows) mask, in

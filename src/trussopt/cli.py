@@ -18,7 +18,10 @@ below its limit). `run` and
 refuse (say `--tsa 2.5` or `--population 5`), a negative `--seed` and
 `compare --seeds` below 5 as usage errors too, before they read the
 model. An `--out` directory that cannot be made (say, an existing file)
-is a usage error found after the model is read and before the run. The
+is a usage error found after the model is read and before the run.
+`run`'s default `--out` is runs/<model name>-seed<seed>, with the path
+separators and leading dots of the name replaced by _; an explicit
+`--out` is used as given. The
 argument parser is built on the first `main`
 call and reused by every later call in the process: parsing fills a
 fresh namespace and never writes to the parser.
@@ -130,8 +133,18 @@ def _make_output_dir(path):
     return True
 
 
+def _default_run_dir(name, seed):
+    """runs/<name>-seed<seed> for a model's name, with each path separator
+    and each leading dot of the name replaced by _, so that the directory
+    is one entry of runs/ whatever a document calls itself."""
+    name = name.replace("/", "_").replace("\\", "_")
+    bare = name.lstrip(".")
+    name = "_" * (len(name) - len(bare)) + bare
+    return os.path.join("runs", f"{name}-seed{seed}")
+
+
 def cmd_run(args, model):
-    out = args.out or os.path.join("runs", f"{model.name}-seed{args.seed}")
+    out = args.out or _default_run_dir(model.name, args.seed)
     if not _make_output_dir(out):
         return 1
     record = hybrid.run(model, args.params, seed=args.seed)
@@ -232,8 +245,9 @@ def build_parser():
 
     p_run = sub.add_parser("run", help="optimize a model")
     common(p_run)
-    p_run.add_argument("--out", help="output directory "
-                       "(default runs/<model>-seed<seed>)")
+    p_run.add_argument("--out", help="output directory (default "
+                       "runs/<model>-seed<seed>, the model name's path "
+                       "separators and leading dots replaced by _)")
     p_run.set_defaults(func=cmd_run)
 
     p_verify = sub.add_parser("verify",

@@ -88,8 +88,9 @@ EVALUATION_CHUNK = 8
 
 def evaluate_design(model, areas, penalty_params, iteration, evaluation=None):
     """The Individual of one design: clamp and analyze it (Analyzer.evaluate),
-    or take `evaluation`, its entry of Analyzer.evaluate_many. A singular
-    design's inf weight and violation total give it F = inf."""
+    or take `evaluation`, what that would return, already computed (an
+    entry of Analyzer.evaluate_many, or an analysis of the polish). A
+    singular design's inf weight and violation total give it F = inf."""
     if evaluation is None:
         evaluation = analysis.get_analyzer(model).evaluate(areas)
     areas, weight, total = evaluation

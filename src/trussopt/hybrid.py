@@ -8,9 +8,12 @@ probability proportional to inverse fitness (the current best is never
 the victim). One deterministic generator drives everything, so a
 (model, params, seed) triple fully determines the RunRecord.
 
-A run's best design is the first minimum of `_standing` over the designs
-it analyzed: feasible (violation total exactly 0.0) before infeasible,
-then by weight if feasible, else by penalized objective F.
+After the last generation, the run's best design is polished by the
+method of moving asymptotes (`polish.mma`), an extension of the paper's
+algorithm. A run's best design is the first minimum of `_standing` over
+the designs it analyzed, the polish's included: feasible (violation
+total exactly 0.0) before infeasible, then by weight if feasible, else
+by penalized objective F. So a polish never makes a run's best worse.
 """
 
 import math
@@ -77,12 +80,15 @@ def _standing(ind):
     return (not feasible, ind.weight if feasible else ind.penalized)
 
 
-def run(model, params, seed=0, max_evaluations=None):
+def run(model, params, seed=0, max_evaluations=None, polish=True):
     """Full H-SAGA run. `max_evaluations` optionally caps the analysis
     budget (used for budget-matched comparisons): a generation it cuts
     breeds only the children it has left and is the last, and no SA
     burst starts once it is spent, but a burst that starts is not cut.
-    A mechanism raises ModelError before any design is drawn."""
+    With `polish`, the run's best design is then polished by MMA
+    (`polish.mma`) within what is left of the budget; its analyses are
+    folded into the last GenerationStat. A mechanism raises ModelError
+    before any design is drawn."""
     t0 = time.perf_counter()
     analysis.reject_mechanism(model)
     ga_params = params.ga
@@ -130,6 +136,18 @@ def run(model, params, seed=0, max_evaluations=None):
             pop.individuals[victim] = sa_best
             sa_ran = True
         record(sa_ran)
+
+    if polish:
+        from .polish import mma
+        # the penalty iteration of the last generation (1 after none)
+        iteration = max(pop.generation, 1)
+        for evaluation in mma(analysis.get_analyzer(model), best.design,
+                              budget - evals):
+            ind = ga.evaluate_design(model, evaluation[0], penalty_params,
+                                     iteration, evaluation)
+            evals += 1
+            best = min((best, ind), key=_standing)
+        record(history.pop().sa_ran)
     return RunRecord(history=history, best=best,
                      best_is_feasible=best.violation_total == 0.0,
                      total_evaluations=evals,
@@ -150,18 +168,19 @@ class ComparisonSummary:
 
 def compare_plain_ga(model, params, seeds):
     """Paired comparison of the hybrid against a plain GA at an equal
-    analysis-evaluation budget per seed."""
+    analysis-evaluation budget per seed. Neither arm is polished, so the
+    two searches are compared."""
     if len(seeds) < 5:
         raise ValueError("need at least 5 seeds")
     h_w, p_w, h_rec, p_rec = [], [], [], []
     for seed in seeds:
-        rec_h = run(model, params, seed=seed)
+        rec_h = run(model, params, seed=seed, polish=False)
         # the plain GA gets the hybrid's exact budget, in as many generations
         budget = rec_h.total_evaluations
         plain_ga = replace(params.ga, max_generations=10 ** 9)
         rec_p = run(model, HybridParams(t_sa=math.inf, ga=plain_ga,
                                         sa=params.sa, penalty=params.penalty),
-                    seed=seed, max_evaluations=budget)
+                    seed=seed, max_evaluations=budget, polish=False)
         h_rec.append(rec_h)
         p_rec.append(rec_p)
         h_w.append(rec_h.best.weight if rec_h.best_is_feasible else math.inf)

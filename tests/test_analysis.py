@@ -335,6 +335,43 @@ def test_evaluate_many_scores_a_singular_design_as_infinite(zero_bound_pair, var
     _same_evaluation(alone, singular)
 
 
+@pytest.mark.parametrize("name", benchmarks.builtin_names())
+def test_sensitivities_match_central_differences(name):
+    # the direct-method dg/dA of every (case, row) in force, 18bar's
+    # buckling rows included, against central differences of `analyze`
+    # at step 1e-6 * A; the evaluation is `evaluate`'s, bit for bit
+    model = benchmarks.get_builtin(name)
+    an = Analyzer(model)
+    lo, hi = model.area_bounds()
+    areas = np.random.default_rng(5).uniform(lo + 0.25 * (hi - lo),
+                                             hi - 0.25 * (hi - lo))
+    evaluation, margins, in_force, jacobian = an.sensitivities(areas)
+    _same_evaluation(evaluation, an.evaluate(areas))
+    result = an.analyze(areas)
+    assert margins.tobytes() == result.margins.tobytes()
+    assert np.array_equal(in_force, result.in_force)
+    assert jacobian.shape == (len(lo), *margins.shape)
+    differences = np.empty_like(jacobian)
+    for g in range(len(lo)):
+        up, down = areas.copy(), areas.copy()
+        up[g] += 1e-6 * areas[g]
+        down[g] -= 1e-6 * areas[g]
+        differences[g] = ((an.analyze(up).margins - an.analyze(down).margins)
+                          / (up[g] - down[g]))
+    got, expected = jacobian[:, in_force], differences[:, in_force]
+    np.testing.assert_allclose(got, expected, rtol=1e-5,
+                               atol=1e-6 * np.abs(expected).max())
+
+
+@pytest.mark.parametrize("variant", [lambda m: m, _buckling],
+                         ids=["stress", "buckling"])
+def test_sensitivities_of_a_singular_design(zero_bound_pair, variant):
+    an = Analyzer(variant(zero_bound_pair))
+    evaluation, *rest = an.sensitivities([0.0, 2.0])
+    _same_evaluation(evaluation, (np.array([0.0, 2.0]), math.inf, math.inf))
+    assert rest == [None, None, None]
+
+
 def test_model_without_elements_is_a_mechanism():
     bare = make_model("bare", [(0, 0), (100, 0)], [], [], Material(1e4, 0.1),
                       [(0, "xy")], [{1: (5.0, 0.0)}])

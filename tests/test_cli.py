@@ -244,6 +244,25 @@ def test_run_accepts_model_file(tmp_path):
     assert (out / "result.json").exists()
 
 
+def test_run_default_out_stays_under_runs(tmp_path, monkeypatch, capsys):
+    # the document's name becomes one entry of runs/: its path separators
+    # and leading dots are replaced
+    doc = json.loads(serialize_model(benchmarks.get_builtin("10bar-case1")))
+    doc["name"] = "../escaped"
+    work = tmp_path / "work"
+    work.mkdir()
+    (work / "m.json").write_text(json.dumps(doc))
+    monkeypatch.chdir(work)
+    assert main(["run", "--model", "m.json", "--generations", "1",
+                 "--population", "10"]) == 0
+    out = os.path.join("runs", "___escaped-seed0")
+    assert capsys.readouterr().out.endswith(f"results written to {out}\n")
+    assert sorted(os.listdir(tmp_path)) == ["work"]
+    assert sorted(os.listdir(work)) == ["m.json", "runs"]
+    assert os.listdir(work / "runs") == ["___escaped-seed0"]
+    assert sorted(os.listdir(work / out)) == ["convergence.csv", "result.json"]
+
+
 def test_mechanism_model_is_model_error(tmp_path, capsys):
     # square frame without a diagonal: a shear mechanism at every design
     mech = make_model(
