@@ -1,7 +1,7 @@
 """Tour of the built-in benchmarks: reference cross-checks, a full
 optimization run, and a budget-matched hybrid vs. plain-GA comparison.
 
-Run:  python3 demos/benchmark_tour.py        (takes a couple of minutes)
+Run:  python3 demos/benchmark_tour.py        (takes several seconds)
 """
 
 import numpy as np

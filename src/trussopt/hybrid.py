@@ -11,9 +11,13 @@ the victim). One deterministic generator drives everything, so a
 After the last generation, the run's best design is polished by the
 method of moving asymptotes (`polish.mma`), an extension of the paper's
 algorithm. A run's best design is the first minimum of `_standing` over
-the designs it analyzed, the polish's included: feasible (violation
-total exactly 0.0) before infeasible, then by weight if feasible, else
-by penalized objective F. So a polish never makes a run's best worse.
+the initial population, every child the GA breeds, each SA burst's
+result (its least-F design, not every design the burst analyzed) and
+every design the polish analyzes: feasible (violation total exactly 0.0)
+before infeasible, then by weight if feasible, else by penalized
+objective F. So a lighter feasible design that an SA burst analyzed but
+did not return is not a candidate, and a polish never makes a run's best
+worse.
 """
 
 import math
@@ -55,8 +59,10 @@ class GenerationStat:
 @dataclass
 class RunRecord:
     history: list                 # GenerationStat per generation
-    best: ga.Individual           # first minimum of _standing: lightest
-                                  # feasible, else least F
+    best: ga.Individual           # first minimum of _standing over the
+                                  # population, children, SA burst results
+                                  # and polish designs: lightest feasible,
+                                  # else least F
     best_is_feasible: bool
     total_evaluations: int
     wall_time: float

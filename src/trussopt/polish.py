@@ -8,11 +8,12 @@ new method for structural optimization", Int. J. Numer. Meth. Eng. 24
 constraint row in force with a margin g > ACTIVE_MARGIN by a convex
 separable function of the areas between moving asymptotes. Its
 subproblem is solved by Svanberg's primal-dual interior-point method, in
-the branch for fewer variables than constraints, whose Newton system is
-(n_groups + 1)-square. The polish stops when no area moves by more than
-MOVE_TOL of the widest bound range, or after MAX_ITERATIONS iterations,
-and then scales every area by the worst constraint ratio (the worst
-margin + 1), so that the design ends on the constraint boundary.
+the branch for fewer variables than constraints, whose Newton system has
+one row per area that can move. The polish stops when no area moves by
+more than MOVE_TOL of the widest bound range, or after MAX_ITERATIONS
+iterations, and then scales every area so that the worst constraint
+ratio (margin + 1; an Euler one moves as the scale's inverse square) is
+1, which puts the design on the constraint boundary.
 
 Every sum runs over numpy's elementwise products (np.einsum without
 `optimize` calls no BLAS) and the Newton system is solved by Gauss-Jordan
@@ -35,7 +36,7 @@ ASYINCR, ASYDECR = 1.2, 0.7
 MOVE = 0.2                 # move limit, of each bound range
 ALBEFA = 0.1
 RAA0 = 1e-5
-A0, A, C, D = 1.0, 0.0, 1000.0, 1.0
+C, D = 1000.0, 1.0
 EPSIMIN = 1e-7
 SAFETY = 1.0 + 1e-12       # on the final scale, against rounding
 
@@ -43,7 +44,7 @@ SAFETY = 1.0 + 1e-12       # on the final scale, against rounding
 def mma(analyzer, start, max_analyses=math.inf):
     """Polish `start` by MMA, yielding what `Analyzer.evaluate` returns for
     each design analyzed, in order, as soon as it is analyzed: each
-    iterate, then the last iterate scaled by its worst constraint ratio,
+    iterate, then the last iterate scaled onto the constraint boundary,
     times SAFETY, and clamped. It makes at most `max_analyses` analyses,
     none if that is below 2. A singular iterate ends the polish."""
     if max_analyses < 2:
@@ -75,7 +76,10 @@ def mma(analyzer, start, max_analyses=math.inf):
         old = [x[free], *old[:1]]
         x = x.copy()
         x[free] = step
-    yield analyzer.evaluate(x * ((margins[in_force].max() + 1.0) * SAFETY))
+    # scaling the areas by s scales a ratio by 1/s, an Euler ratio by 1/s^2
+    ratio = margins + 1.0
+    ratio[:, analyzer.buckling_row] = np.sqrt(ratio[:, analyzer.buckling_row])
+    yield analyzer.evaluate(x * (ratio[in_force].max() * SAFETY))
 
 
 def _mma_step(x, old, asymptotes, lo, hi, df0, g, dg):
@@ -104,30 +108,34 @@ def _mma_step(x, old, asymptotes, lo, hi, df0, g, dg):
     P, Q = np.maximum(dg, 0.0), np.maximum(-dg, 0.0)
     PQ = 0.001 * (P + Q) + floor
     P, Q = (P + PQ) * ux2, (Q + PQ) * xl2
-    b = (np.einsum("ij,j->i", P, 1.0 / (upp - x))
-         + np.einsum("ij,j->i", Q, 1.0 / (x - low)) - g)
+    b = _approximation(P, Q, upp - x, x - low) - g
     return _subsolve(low, upp, alfa, beta, p0, q0, P, Q, b), (low, upp)
+
+
+def _approximation(P, Q, ux, xl):
+    # per constraint i: sum_j P_ij/ux_j + Q_ij/xl_j
+    return np.einsum("ij,j->i", P, 1.0 / ux) + np.einsum("ij,j->i", Q, 1.0 / xl)
 
 
 def _subsolve(low, upp, alfa, beta, p0, q0, P, Q, b):
     """x of Svanberg's primal-dual Newton method for the MMA subproblem
 
         min  sum_j p0_j/(upp_j - x_j) + q0_j/(x_j - low_j)
-             + A0 z + sum_i C y_i + D y_i^2 / 2
-        s.t. sum_j P_ij/(upp_j - x_j) + Q_ij/(x_j - low_j) - A z - y_i <= b_i,
-             alfa <= x <= beta, y >= 0, z >= 0,
+             + sum_i C y_i + D y_i^2 / 2
+        s.t. sum_j P_ij/(upp_j - x_j) + Q_ij/(x_j - low_j) - y_i <= b_i,
+             alfa <= x <= beta, y >= 0,
 
-    with the barrier parameter epsi cut tenfold from 1 to EPSIMIN. All
+    with the barrier parameter epsi cut tenfold from 1 to EPSIMIN; Svanberg's
+    min-max variable z is left out, as no constraint weighs it. All
     variables sit in one vector w: x, xsi, eta (n each; the multipliers of
     alfa <= x and x <= beta), y, lam, mu, s (m each; lam the multipliers of
-    the constraints, mu of y >= 0, s their slacks), z, zet. Each trial
-    point of a Newton step's line search costs one pass over P and Q
-    (`state`), which the next Newton step reuses."""
+    the constraints, mu of y >= 0, s their slacks). Each trial point of a
+    Newton step's line search costs one pass over P and Q (`state`), which
+    the next Newton step reuses."""
     x0 = 0.5 * (alfa + beta)
     n, m = len(x0), len(b)
     X, XSI, ETA = slice(0, n), slice(n, 2 * n), slice(2 * n, 3 * n)
     Y, LAM, MU, S = (slice(3 * n + k * m, 3 * n + (k + 1) * m) for k in range(4))
-    Z, ZET = 3 * n + 4 * m, 3 * n + 4 * m + 1
 
     def state(w):
         # what w's residual and Newton step need of P and Q
@@ -135,50 +143,40 @@ def _subsolve(low, upp, alfa, beta, p0, q0, P, Q, b):
         ux, xl = upp - x, x - low
         plam = p0 + np.einsum("ij,i->j", P, lam)
         qlam = q0 + np.einsum("ij,i->j", Q, lam)
-        gvec = (np.einsum("ij,j->i", P, 1.0 / ux)
-                + np.einsum("ij,j->i", Q, 1.0 / xl))
-        return ux, xl, plam, qlam, gvec
+        return ux, xl, plam, qlam, _approximation(P, Q, ux, xl)
 
     def residual(w, st, epsi):
         ux, xl, plam, qlam, gvec = st
         ux2, xl2 = ux * ux, xl * xl
-        x, y, lam, z, zet = w[X], w[Y], w[LAM], w[Z], w[ZET]
+        x, y, lam = w[X], w[Y], w[LAM]
         return np.concatenate((
             plam / ux2 - qlam / xl2 - w[XSI] + w[ETA],
             w[XSI] * (x - alfa) - epsi,
             w[ETA] * (beta - x) - epsi,
             C + D * y - w[MU] - lam,
-            gvec - A * z - y + w[S] - b,
+            gvec - y + w[S] - b,
             w[MU] * y - epsi,
-            lam * w[S] - epsi,
-            [A0 - zet - A * lam.sum(), zet * z - epsi]))
+            lam * w[S] - epsi))
 
     def newton(w, st, epsi):
         ux, xl, plam, qlam, gvec = st
         ux2, xl2 = ux * ux, xl * xl
-        x, xsi, eta, y, lam, mu, s, z, zet = (
-            w[X], w[XSI], w[ETA], w[Y], w[LAM], w[MU], w[S], w[Z], w[ZET])
+        x, xsi, eta, y, lam, mu, s = (
+            w[X], w[XSI], w[ETA], w[Y], w[LAM], w[MU], w[S])
         xa, bx = x - alfa, beta - x
         GG = P / ux2 - Q / xl2
         delx = plam / ux2 - qlam / xl2 - epsi / xa + epsi / bx
         dely = C + D * y - lam - epsi / y
-        delz = A0 - A * lam.sum() - epsi / z
-        dellam = gvec - A * z - y - b + epsi / lam
+        dellam = gvec - y - b + epsi / lam
         diagx = 2 * (plam / (ux2 * ux) + qlam / (xl2 * xl)) + xsi / xa + eta / bx
         diagy = D + mu / y
         inv = 1.0 / (s / lam + 1.0 / diagy)
         dellamyi = dellam + dely / diagy
-        # the (n + 1)-square system in (dx, dz), with lam and y eliminated
-        M = np.empty((n + 1, n + 1))
-        M[:n, :n] = np.einsum("ki,kj->ij", GG * inv[:, None], GG)
+        # the n-square system in dx, with lam and y eliminated
+        M = np.einsum("ki,kj->ij", GG * inv[:, None], GG)
         M[np.arange(n), np.arange(n)] += diagx
-        M[:n, n] = M[n, :n] = -A * np.einsum("ki,k->i", GG, inv)
-        M[n, n] = zet / z + A * A * inv.sum()
-        rhs = np.append(-(delx + np.einsum("ki,k->i", GG, dellamyi * inv)),
-                        -(delz - A * (dellamyi * inv).sum()))
-        dxz = _gauss_jordan(M, rhs)
-        dx, dz = dxz[:n], dxz[n]
-        dlam = (np.einsum("ki,i->k", GG, dx) - A * dz + dellamyi) * inv
+        dx = _gauss_jordan(M, -(delx + np.einsum("ki,k->i", GG, dellamyi * inv)))
+        dlam = (np.einsum("ki,i->k", GG, dx) + dellamyi) * inv
         dy = (dlam - dely) / diagy
         return np.concatenate((
             dx,
@@ -187,10 +185,9 @@ def _subsolve(low, upp, alfa, beta, p0, q0, P, Q, b):
             dy,
             dlam,
             -mu + (epsi - mu * dy) / y,
-            -s + (epsi - s * dlam) / lam,
-            [dz, -zet + (epsi - zet * dz) / z]))
+            -s + (epsi - s * dlam) / lam))
 
-    w = np.ones(3 * n + 4 * m + 2)
+    w = np.ones(3 * n + 4 * m)
     w[X] = x0
     w[XSI] = np.maximum(1.0 / (x0 - alfa), 1.0)
     w[ETA] = np.maximum(1.0 / (beta - x0), 1.0)
@@ -226,7 +223,9 @@ def _subsolve(low, upp, alfa, beta, p0, q0, P, Q, b):
 
 def _gauss_jordan(M, rhs):
     """The solution of M x = rhs for a symmetric positive definite M, by
-    Gauss-Jordan elimination without pivoting, elementwise."""
+    Gauss-Jordan elimination without pivoting, elementwise: with OpenBLAS
+    0.3.31, np.linalg.solve's bytes differ between one and two threads
+    from 97 unknowns on (random positive definite systems)."""
     T = np.column_stack((M, rhs))
     for k in range(len(T)):
         T[k] /= T[k, k]
