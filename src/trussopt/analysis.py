@@ -14,11 +14,11 @@ reads, so a design's padded solution, its load cases end to end, feeds
 the post-solve with no response array in between.
 
 One post-solve kernel (`Analyzer._margins`) serves one design or a
-stack: from the padded solution it gives the stresses, the normalized
-margin of every constraint row and the in-force mask; labels for those
-rows are built only on request. `analyze` takes the response, one
-[stresses | displacements] row per load case, from it, and `evaluate`,
-the optimizer's evaluation, keeps only (weight, violation total).
+stack: from the padded solution it gives the stresses and the normalized
+margin of every constraint row; labels for those rows are built only on
+request. `analyze` takes the response, one [stresses | displacements]
+row per load case, from it, and `evaluate`, the optimizer's evaluation,
+keeps only (weight, violation total).
 `evaluate` scores a design that `factorize` finds singular (a mechanism)
 as its clamped areas with inf weight and inf violation total.
 `evaluate_many` factors and solves each design of a batch on its own
@@ -112,8 +112,6 @@ class AnalysisResult:
     n_elements: int
     margins: np.ndarray    # (n_cases, n_rows) g = quantity/limit - 1 over
                            # the constraint table
-    in_force: np.ndarray   # (n_cases, n_rows) bool: a buckling row only
-                           # under compression
 
     @property
     def cases(self):
@@ -129,7 +127,12 @@ _BLOCK_P, _BLOCK_Q = np.triu_indices(6)
 
 
 class Analyzer:
-    """Per-model precomputation for fast repeated analysis."""
+    """Per-model precomputation for fast repeated analysis.
+
+    Its constraint table holds every constraint row of every load case. A
+    row whose limit is infinite (a buckling row in tension, or a stress
+    a group leaves unlimited) reads g = -1 and never binds: it is listed
+    like any other row and adds 0 to a violation total."""
 
     def __init__(self, model: TrussModel):
         ndof = 3 * model.n_nodes
@@ -234,12 +237,10 @@ class Analyzer:
                                           n_el + dof_row[self._limit_dofs]))
         self.row_upper = np.concatenate((upper[member_group], limit))
         self.row_lower = np.concatenate((lower[member_group], -limit))
-        # lower is -K*E*A/L^2 on a buckling row, set per design; in force
-        # only under compression
+        # lower is -K*E*A/L^2 on a buckling row, set per design; in
+        # tension its limit is inf
         self.row_upper[self.buckling_row] = np.inf
         self.row_lower[self.buckling_row] = np.nan
-        self._not_buckling = np.ones(self.row_source.shape, dtype=bool)
-        self._not_buckling[self.buckling_row] = False
         buckling_el = self.row_source[self.buckling_row]
         self.buckling_group = self.group_of[buckling_el]
         self.buckling_coeff = -K[self.buckling_group] * self.E
@@ -291,29 +292,27 @@ class Analyzer:
     def analyze(self, areas):
         """Weight, the response array of every load case, and the
         normalized constraints g = quantity/limit - 1 over the constraint
-        table with the mask of the entries in force (see `_margins`)."""
+        table (see `_margins`)."""
         areas = np.asarray(areas, dtype=float)
-        source, margins, in_force = self._margins(areas, self._solve(areas))
-        if in_force is None:
-            in_force = np.ones(margins.shape, dtype=bool)
+        source, _, _, margins = self._margins(areas, self._solve(areas))
         return AnalysisResult(weight=self.structure_weight(areas),
                               response=source.take(self._response_take),
                               n_elements=len(self.lengths),
-                              margins=margins, in_force=in_force)
+                              margins=margins)
 
     def evaluate(self, areas):
         """The optimizer's evaluation: (areas clamped to their bounds,
-        weight, total violation). The total sums max(g, 0) over the
-        margins in force, as `penalty.evaluate_constraints` does over an
-        `analyze` result, bit for bit. Where `factorize` raises
-        SingularStructure, both weight and total are inf."""
+        weight, total violation). The total sums max(g, 0) over every
+        margin, as `penalty.evaluate_constraints` does over an `analyze`
+        result, bit for bit. Where `factorize` raises SingularStructure,
+        both weight and total are inf."""
         areas = clamp(np.asarray(areas, dtype=float), self.area_lo, self.area_hi)
         try:
             X = self._solve(areas)
         except SingularStructure:
             return areas, np.inf, np.inf
-        _, margins, in_force = self._margins(areas, X)
-        return self._evaluation(areas, margins, in_force)
+        margins = self._margins(areas, X)[-1]
+        return self._evaluation(areas, margins)
 
     def evaluate_many(self, designs):
         """`evaluate` over the rows of a (B, n_groups) array: a list with
@@ -333,10 +332,8 @@ class Analyzer:
                 X[i] = self._solve(a)
             except SingularStructure:
                 solved[i] = False
-        _, margins, in_force = self._margins(areas, X)
+        margins = self._margins(areas, X)[-1]
         excess = np.maximum(margins, 0.0).reshape(B, -1)
-        if in_force is not None:
-            excess = [e[f] for e, f in zip(excess, in_force.reshape(B, -1))]
         volumes = areas[:, self.group_of] * self.lengths
         return [(a, float(self.density * v.sum()), float(g.sum())) if ok
                 else (a, np.inf, np.inf)
@@ -345,10 +342,10 @@ class Analyzer:
     def sensitivities(self, areas):
         """A design's evaluation with the derivatives of its margins, by
         the direct method: (what `evaluate` returns, bit for bit, the
-        (n_cases, n_rows) margins g, their in-force mask, and dg/dA shaped
-        (n_groups, n_cases, n_rows)). Where `factorize` raises
-        SingularStructure, the evaluation is `evaluate`'s (areas, inf,
-        inf) and the other three are None.
+        (n_cases, n_rows) margins g, and dg/dA shaped (n_groups, n_cases,
+        n_rows)). Where `factorize` raises SingularStructure, the
+        evaluation is `evaluate`'s (areas, inf, inf) and the other two
+        are None.
 
         It costs one factorization and two banded solves: the loads, then
         n_groups * n_cases right-hand sides. Since dK/dA_g u = sum over
@@ -356,17 +353,16 @@ class Analyzer:
         dX/dA_g solves K dX = -sum sigma_e d_e on e's dofs in every case;
         it goes through the stress kernel and the takes of `_margins` and
         is divided by the limit of q's sign. A compressed buckling row
-        also moves with its own group's Euler bound."""
+        also moves with its own group's Euler bound; a row whose limit is
+        infinite has derivative 0."""
         areas = clamp(np.asarray(areas, dtype=float), self.area_lo, self.area_hi)
         try:
             factor = self.factorize(areas)
         except SingularStructure:
-            return (areas, np.inf, np.inf), None, None, None
+            return (areas, np.inf, np.inf), None, None
         X = dpbtrs(factor, self._rhs, lower=1)[0].ravel(order="F")
-        source, margins, in_force = self._margins(areas, X)
-        evaluation = self._evaluation(areas, margins, in_force)
-        if in_force is None:
-            in_force = np.ones(margins.shape, dtype=bool)
+        source, q, limit, margins = self._margins(areas, X)
+        evaluation = self._evaluation(areas, margins)
 
         # the right-hand sides of every (group, case), each laid out as the
         # padded loads; the pad row, which every fixed dof hits, is zeroed
@@ -380,8 +376,6 @@ class Analyzer:
         rhs[:, -1] = 0.0
         dX = dpbtrs(factor, rhs.T, lower=1)[0].T.reshape(n_groups, width)
 
-        q = source.take(self._q_take)
-        limit, _ = self._limits(areas, q)
         jacobian = self._source(dX).take(self._q_take, axis=-1) / limit
         if self.buckling_row.size:
             # g = q/lower - 1 with lower = coeff*A/L^2 on a compressed
@@ -390,17 +384,16 @@ class Analyzer:
             jacobian[self.buckling_group, :, rows] -= (
                 q[:, rows] / limit[:, rows] ** 2
                 * (self.buckling_coeff / self.buckling_L2)).T
-        return evaluation, margins, in_force, jacobian
+        return evaluation, margins, jacobian
 
     def _solve(self, areas):
         """The padded solution at a float design, its load cases end to
         end. Raises SingularStructure where `factorize` does."""
         return dpbtrs(self.factorize(areas), self._rhs, lower=1)[0].ravel(order="F")
 
-    def _evaluation(self, areas, margins, in_force):
-        # the same 1-D sequence as margins[in_force], so the same sum
-        g = margins.ravel() if in_force is None else margins[in_force]
-        return areas, self.structure_weight(areas), float(np.maximum(g, 0.0).sum())
+    def _evaluation(self, areas, margins):
+        return (areas, self.structure_weight(areas),
+                float(np.maximum(margins.ravel(), 0.0).sum()))
 
     def _source(self, X):
         """The stresses of every load case followed by X, for one padded
@@ -413,27 +406,25 @@ class Analyzer:
     def _margins(self, areas, X):
         """The post-solve of one design, (n_groups,) areas and padded
         solution X, or of a stack, (B, n_groups) and (B, X.size). Return
-        the source (`_source`), the (n_cases, n_rows) margins g over the
-        constraint table, and their in-force mask, or None when every
-        entry is in force (a model without buckling rows); a stack gives
-        each a leading axis.
+        the source (`_source`), then the constraint quantities q, their
+        limits (`_limits`) and the margins g = q/limit - 1, each
+        (n_cases, n_rows) over the constraint table; a stack gives each a
+        leading axis.
 
         Stress: against the tension limit for positive stress, the
         compression limit magnitude for negative. Buckling: against the
-        area-dependent Euler bound -K*E*A/L^2, in force only under
-        compression. Displacement: |u|/limit - 1.
+        area-dependent Euler bound -K*E*A/L^2 under compression, and an
+        infinite limit in tension. Displacement: |u|/limit - 1.
         """
         source = self._source(X)
         q = source.take(self._q_take, axis=-1)
-        limit, in_force = self._limits(areas, q)
-        # q/limit = |q|/|limit|
-        return source, q / limit - 1.0, in_force
+        limit = self._limits(areas, q)
+        return source, q, limit, q / limit - 1.0
 
     def _limits(self, areas, q):
-        """The limit of each constraint quantity q, the one of q's sign
-        (so q/limit = |q|/|limit|), and the in-force mask, or None."""
+        """The limit of each constraint quantity q, the one of q's sign,
+        so q/limit = |q|/|limit|."""
         lower = self.row_lower
-        in_force = None
         if self.buckling_row.size:
             # each design's Euler bounds go in through the transpose,
             # whose first axis is the row for one design and a stack alike
@@ -443,13 +434,12 @@ class Analyzer:
                                           * areas.take(self.buckling_group, axis=-1)
                                           / self.buckling_L2).T
             lower = lower[..., None, :]
-            in_force = (q < 0) | self._not_buckling
-        return np.where(q >= 0, self.row_upper, lower), in_force
+        return np.where(q >= 0, self.row_upper, lower)
 
-    def constraint_labels(self, mask):
-        """The label of each true entry of an (n_cases, n_rows) mask, in
-        row-major order: kind, load case (its position), and element or
-        node/dof."""
+    def constraint_labels(self):
+        """The label of every (load case, row) of the constraint table, in
+        the row-major order of the margins: kind, load case (its
+        position), and element or node/dof."""
         n_member = len(self.row_source) - len(self._limit_dofs)
         kinds = ["stress"] * n_member + ["displacement"] * len(self._limit_dofs)
         for r in self.buckling_row.tolist():
@@ -457,9 +447,9 @@ class Analyzer:
         where = [{"element": i} for i in self.row_source[:n_member].tolist()]
         where += [{"node": d // 3, "dof": DOF_NAMES[d % 3]}
                   for d in self._limit_dofs.tolist()]
-        cases, rows = np.nonzero(mask)
-        return [{"kind": kinds[r], "case": c, **where[r]}
-                for c, r in zip(cases.tolist(), rows.tolist())]
+        return [{"kind": kind, "case": c, **w}
+                for c in range(self._rhs.shape[1])
+                for kind, w in zip(kinds, where)]
 
 
 _analyzers = weakref.WeakKeyDictionary()

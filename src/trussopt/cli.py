@@ -36,7 +36,7 @@ import sys
 
 import numpy as np
 
-from . import analysis, annealing, benchmarks, ga, hybrid, io as model_io
+from . import analysis, benchmarks, ga, hybrid, io as model_io
 from .model import ModelError
 
 
@@ -73,12 +73,11 @@ def load_model(spec):
 
 
 def constraint_margins(model, areas):
-    """Weight, the normalized margin of every constraint row in force at a
-    design (AnalysisResult.margins), and the in-force mask they were taken
-    from; a negative margin is slack, a positive one is violated by that
-    fraction."""
+    """Weight and the (n_cases, n_rows) normalized margins of every
+    constraint row at a design (AnalysisResult.margins); a negative margin
+    is slack, a positive one is violated by that fraction."""
     result = analysis.analyze(model, areas)
-    return result.weight, result.margins[result.in_force], result.in_force
+    return result.weight, result.margins
 
 
 def write_convergence_csv(path, history):
@@ -98,14 +97,13 @@ def _hybrid_params(args):
     ga_params = ga.GaParams(
         population_size=args.population,
         max_generations=args.generations)
-    return hybrid.HybridParams(t_sa=args.tsa, ga=ga_params,
-                               sa=annealing.SaParams())
+    return hybrid.HybridParams(t_sa=args.tsa, ga=ga_params)
 
 
 def _result_document(model, record):
     best = record.best
-    weight, margins, in_force = constraint_margins(model, best.design)
-    labels = analysis.get_analyzer(model).constraint_labels(in_force)
+    weight, margins = constraint_margins(model, best.design)
+    labels = analysis.get_analyzer(model).constraint_labels()
     return {
         "model": model.name,
         "seed": record.seed,
@@ -117,7 +115,7 @@ def _result_document(model, record):
         "generations": record.history[-1].generation,
         "wall_time_seconds": record.wall_time,
         "constraint_margins": [{**label, "margin": float(m)}
-                               for label, m in zip(labels, margins)],
+                               for label, m in zip(labels, margins.ravel())],
     }
 
 
@@ -165,7 +163,7 @@ def cmd_verify(args, model):
         print(f"error: model has {model.n_groups} design variables, "
               f"got {len(areas)} areas", file=sys.stderr)
         return 1
-    weight, margins, _ = constraint_margins(model, areas)
+    weight, margins = constraint_margins(model, areas)
     worst = float(margins.max())
     feasible = worst <= args.slack
     print(f"weight: {weight:.2f} lb")

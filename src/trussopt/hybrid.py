@@ -37,7 +37,6 @@ class HybridParams:
                                 # number; inf = plain GA
     ga: "ga.GaParams" = field(default_factory=ga.GaParams)
     sa: "annealing.SaParams" = field(default_factory=annealing.SaParams)
-    penalty: object = None      # PenaltyParams; None = self-scaling default
 
     def __post_init__(self):
         if not (self.t_sa == math.inf
@@ -87,22 +86,33 @@ def _standing(ind):
 
 
 def run(model, params, seed=0, max_evaluations=None, polish=True):
-    """Full H-SAGA run. `max_evaluations` optionally caps the analysis
-    budget (used for budget-matched comparisons): a generation it cuts
-    breeds only the children it has left and is the last, and no SA
-    burst starts once it is spent, but a burst that starts is not cut.
-    With `polish`, the run's best design is then polished by MMA
-    (`polish.mma`) within what is left of the budget; its analyses are
-    folded into the last GenerationStat. A mechanism raises ModelError
-    before any design is drawn."""
+    """Full H-SAGA run, with the self-scaling penalty of
+    `default_penalty_params`. `max_evaluations` optionally caps the
+    analysis budget (used for budget-matched comparisons): a generation
+    it cuts breeds only the children it has left and is the last, and no
+    SA burst starts once it is spent, but a burst that starts is not cut.
+    The cap must be a whole number no smaller than the population, which
+    the initial population spends; any other value raises ValueError
+    before any analysis. With `polish`, the run's best design is then
+    polished by MMA (`polish.mma`) within what is left of the budget; its
+    analyses are folded into the last GenerationStat. A mechanism raises
+    ModelError before any design is drawn."""
     t0 = time.perf_counter()
-    analysis.reject_mechanism(model)
     ga_params = params.ga
-    penalty_params = params.penalty or default_penalty_params(model)
+    # written so that a NaN fails the check
+    if max_evaluations is not None and not (
+            ga_params.population_size <= max_evaluations < math.inf
+            and max_evaluations == int(max_evaluations)):
+        raise ValueError(f"max_evaluations must be a whole number >= the "
+                         f"population size {ga_params.population_size}, "
+                         f"got {max_evaluations!r}")
+    analysis.reject_mechanism(model)
+    penalty_params = default_penalty_params(model)
 
     pop = ga.init_population(model, ga_params, penalty_params, seed)
     evals = len(pop.individuals)
-    budget = math.inf if max_evaluations is None else max_evaluations
+    # a whole float such as 60.0 counts as its int
+    budget = math.inf if max_evaluations is None else int(max_evaluations)
     best = min(pop.individuals, key=_standing)
 
     history = []
@@ -185,7 +195,7 @@ def compare_plain_ga(model, params, seeds):
         budget = rec_h.total_evaluations
         plain_ga = replace(params.ga, max_generations=10 ** 9)
         rec_p = run(model, HybridParams(t_sa=math.inf, ga=plain_ga,
-                                        sa=params.sa, penalty=params.penalty),
+                                        sa=params.sa),
                     seed=seed, max_evaluations=budget, polish=False)
         h_rec.append(rec_h)
         p_rec.append(rec_p)

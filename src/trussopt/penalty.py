@@ -49,8 +49,8 @@ def default_penalty_params(model):
 
 def evaluate_constraints(result):
     """Build a ConstraintReport from an AnalysisResult: one violation per
-    margin in force, case by case."""
-    violations = np.maximum(result.margins[result.in_force], 0.0)
+    constraint row, case by case."""
+    violations = np.maximum(result.margins.ravel(), 0.0)
     total = float(violations.sum())
     return ConstraintReport(violations=violations, total=total,
                             feasible=(total == 0.0))

@@ -5,7 +5,7 @@ the run's best design: K. Svanberg, "The method of moving asymptotes - a
 new method for structural optimization", Int. J. Numer. Meth. Eng. 24
 (1987). Each MMA iteration analyzes its design once
 (`Analyzer.sensitivities`) and approximates the weight and every
-constraint row in force with a margin g > ACTIVE_MARGIN by a convex
+constraint row with a margin g > ACTIVE_MARGIN by a convex
 separable function of the areas between moving asymptotes. Its
 subproblem is solved by Svanberg's primal-dual interior-point method, in
 the branch for fewer variables than constraints, whose Newton system has
@@ -57,7 +57,7 @@ def mma(analyzer, start, max_analyses=math.inf):
     x, moved = start, math.inf
     old, asymptotes = [], None     # the last two iterates, latest first
     for iteration in itertools.count():
-        evaluation, margins, in_force, jacobian = analyzer.sensitivities(x)
+        evaluation, margins, jacobian = analyzer.sensitivities(x)
         yield evaluation
         if margins is None:
             return
@@ -68,7 +68,7 @@ def mma(analyzer, start, max_analyses=math.inf):
         if moved < tol or iteration == MAX_ITERATIONS \
                 or iteration + 2 >= max_analyses:
             break
-        active = in_force & (margins > ACTIVE_MARGIN)
+        active = margins > ACTIVE_MARGIN
         step, asymptotes = _mma_step(
             x[free], old, asymptotes, lo[free], hi[free], df0[free],
             margins[active], np.ascontiguousarray(jacobian[free][:, active].T))
@@ -76,10 +76,11 @@ def mma(analyzer, start, max_analyses=math.inf):
         old = [x[free], *old[:1]]
         x = x.copy()
         x[free] = step
-    # scaling the areas by s scales a ratio by 1/s, an Euler ratio by 1/s^2
+    # scaling the areas by s scales a ratio by 1/s, an Euler ratio by 1/s^2;
+    # a row with an infinite limit reads ratio 0 either way
     ratio = margins + 1.0
     ratio[:, analyzer.buckling_row] = np.sqrt(ratio[:, analyzer.buckling_row])
-    yield analyzer.evaluate(x * (ratio[in_force].max() * SAFETY))
+    yield analyzer.evaluate(x * (ratio.max() * SAFETY))
 
 
 def _mma_step(x, old, asymptotes, lo, hi, df0, g, dg):

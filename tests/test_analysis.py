@@ -153,13 +153,13 @@ def test_band_assembly_bytes_are_pinned(name):
     assert h.hexdigest() == ASSEMBLE_SHA256[name]
 
 
-# sha256 of analyze's response, margins and in_force bytes at 10 random
+# sha256 of analyze's response and margins bytes at 10 random
 # designs (default_rng(13), uniform within the bounds): 18bar has buckling
 # rows, 72bar displacement rows and two load cases, 200bar three cases
 ANALYZE_SHA256 = {
-    "18bar": "7baf7c25d706213e74c0231fd1ad8751b0a1d74299932911206f93ee8ff0ebf9",
-    "72bar": "3e55307cc81d95af51794beae2e0e9949a711b7471457ce3d559d0653243e5d9",
-    "200bar": "fb7291bce757c4eb1ff9d3a730aec8129c4952adc351ff799b7854421954253a",
+    "18bar": "c8c0a8b28c9f41d05f8031c435da0bf550863e611844b79766f4f94a9f8490c0",
+    "72bar": "beef9b83ec087e726eeb09e286dc95e87fb4062df2a8e88707403c81b348f0cf",
+    "200bar": "d1378e2afa2a2b168275e79b0b112b5f69e7109a6c46efc1ddedf6f82d3ee7f6",
 }
 
 
@@ -171,7 +171,7 @@ def test_analyze_arrays_are_pinned(name):
     h = hashlib.sha256()
     for areas in rng.uniform(lo, hi, size=(10, len(lo))):
         result = analyze(model, areas)
-        for array in (result.response, result.margins, result.in_force):
+        for array in (result.response, result.margins):
             h.update(array.tobytes())
     assert h.hexdigest() == ANALYZE_SHA256[name]
 
@@ -206,10 +206,12 @@ def test_buckling_stress_limit_formula():
     limit = -4.0 * 10000.0 * 2.0 / 100.0 ** 2
     np.testing.assert_allclose(report.violations, [0.0, -16.0 / limit - 1.0],
                                rtol=1e-12)
-    # in tension the buckling row is not in force
+    # in tension the buckling row's limit is inf: it reads -1 and never binds
     m = bar(-32.0)
-    report = evaluate_constraints(analyze(m, [2.0]))
-    assert len(report.violations) == 1
+    result = analyze(m, [2.0])
+    assert result.margins[0, 1] == -1.0
+    report = evaluate_constraints(result)
+    np.testing.assert_array_equal(report.violations, [0.0, 0.0])
 
 
 def test_multiple_load_cases_solved_together():
@@ -337,19 +339,18 @@ def test_evaluate_many_scores_a_singular_design_as_infinite(zero_bound_pair, var
 
 @pytest.mark.parametrize("name", benchmarks.builtin_names())
 def test_sensitivities_match_central_differences(name):
-    # the direct-method dg/dA of every (case, row) in force, 18bar's
-    # buckling rows included, against central differences of `analyze`
-    # at step 1e-6 * A; the evaluation is `evaluate`'s, bit for bit
+    # the direct-method dg/dA of every (case, row), 18bar's buckling rows
+    # included, against central differences of `analyze` at step 1e-6 * A;
+    # the evaluation is `evaluate`'s, bit for bit
     model = benchmarks.get_builtin(name)
     an = Analyzer(model)
     lo, hi = model.area_bounds()
     areas = np.random.default_rng(5).uniform(lo + 0.25 * (hi - lo),
                                              hi - 0.25 * (hi - lo))
-    evaluation, margins, in_force, jacobian = an.sensitivities(areas)
+    evaluation, margins, jacobian = an.sensitivities(areas)
     _same_evaluation(evaluation, an.evaluate(areas))
     result = an.analyze(areas)
     assert margins.tobytes() == result.margins.tobytes()
-    assert np.array_equal(in_force, result.in_force)
     assert jacobian.shape == (len(lo), *margins.shape)
     differences = np.empty_like(jacobian)
     for g in range(len(lo)):
@@ -358,9 +359,8 @@ def test_sensitivities_match_central_differences(name):
         down[g] -= 1e-6 * areas[g]
         differences[g] = ((an.analyze(up).margins - an.analyze(down).margins)
                           / (up[g] - down[g]))
-    got, expected = jacobian[:, in_force], differences[:, in_force]
-    np.testing.assert_allclose(got, expected, rtol=1e-5,
-                               atol=1e-6 * np.abs(expected).max())
+    np.testing.assert_allclose(jacobian, differences, rtol=1e-5,
+                               atol=1e-6 * np.abs(differences).max())
 
 
 @pytest.mark.parametrize("variant", [lambda m: m, _buckling],
@@ -369,7 +369,7 @@ def test_sensitivities_of_a_singular_design(zero_bound_pair, variant):
     an = Analyzer(variant(zero_bound_pair))
     evaluation, *rest = an.sensitivities([0.0, 2.0])
     _same_evaluation(evaluation, (np.array([0.0, 2.0]), math.inf, math.inf))
-    assert rest == [None, None, None]
+    assert rest == [None, None]
 
 
 def test_model_without_elements_is_a_mechanism():
@@ -485,11 +485,10 @@ def test_constraint_table_row_order(name):
     assert an.row_source.tobytes() == np.array(source).tobytes()
     assert an.row_upper.tobytes() == np.array(upper, dtype=float).tobytes()
     assert an.row_lower.tobytes() == np.array(lower, dtype=float).tobytes()
-    mask = np.ones((len(model.load_cases), len(rows)), dtype=bool)
     expected = [{"kind": kind, "case": case, **w}
                 for case in range(len(model.load_cases))
                 for kind, w in zip(kinds, where)]
-    labels = an.constraint_labels(mask)
+    labels = an.constraint_labels()
     assert labels == expected
     # key order is what result.json prints
     assert [list(label) for label in labels] == [list(e) for e in expected]
@@ -552,7 +551,7 @@ def test_lapack_routines_fall_back_to_the_public_import(monkeypatch):
     monkeypatch.setattr(analysis, "dpbtrs", routines[1])
     got = analyze(entry.model, entry.reference_areas)
     assert calls == ["dpbtrf", "dpbtrs"]
-    for field in ("response", "margins", "in_force"):
+    for field in ("response", "margins"):
         assert getattr(got, field).tobytes() == getattr(expected, field).tobytes()
     assert repr(got.weight) == repr(expected.weight)
 

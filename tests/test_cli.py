@@ -163,6 +163,23 @@ def test_run_writes_artifacts(tmp_path, capsys):
     assert doc["constraint_margins"]
 
 
+def test_run_lists_every_constraint_row(tmp_path, capsys):
+    # 18bar has one load case and a buckling row per element: a tension
+    # element's buckling row has an infinite limit, so it reads -1.0
+    out = tmp_path / "out"
+    assert main(["run", "--model", "builtin:18bar", "--generations", "1",
+                 "--population", "10", "--out", str(out)]) == 0
+    doc = json.loads((out / "result.json").read_text())
+    rows = doc["constraint_margins"]
+    assert [r["kind"] for r in rows] == ["stress", "buckling"] * 18
+    assert [r["element"] for r in rows] == [e for e in range(18) for _ in "sb"]
+    model = benchmarks.get_builtin("18bar")
+    stresses = analysis.analyze(model, doc["best_areas"]).cases[0].element_stresses
+    tension = [r["margin"] for r in rows[1::2] if stresses[r["element"]] >= 0]
+    assert tension and tension == [-1.0] * len(tension)
+    assert doc["worst_constraint_margin"] == max(r["margin"] for r in rows)
+
+
 def test_run_missing_model_file(capsys):
     assert main(["run", "--model", "missing.file"]) == 2
     assert "not found" in capsys.readouterr().err
@@ -478,8 +495,9 @@ def test_z_load_on_a_flat_truss_exit_2(tmp_path, capsys):
 def test_margins_are_the_penalty_rows(name):
     entry = benchmarks.builtin_models()[name]
     model, areas = entry.model, entry.reference_areas
-    _, margins, in_force = constraint_margins(model, areas)
-    labels = analysis.get_analyzer(model).constraint_labels(in_force)
+    _, margins = constraint_margins(model, areas)
+    labels = analysis.get_analyzer(model).constraint_labels()
+    margins = margins.ravel()
     report = evaluate_constraints(analysis.analyze(model, areas))
     np.testing.assert_array_equal(np.maximum(margins, 0.0), report.violations)
     assert len(labels) == len(margins)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import trussopt
-from trussopt import benchmarks
+from trussopt import analysis, benchmarks
 from trussopt.ga import GaParams, Individual, Population
 from trussopt.hybrid import (HybridParams, RunRecord, _standing,
                              compare_plain_ga, remove_victim_index, run)
@@ -100,9 +100,9 @@ def _history_digest(rec):
 
 
 @pytest.mark.parametrize("name, evaluations, weight, digest", [
-    # buckling rows, so the in-force mask
+    # buckling rows, tension ones at an infinite limit
     ("18bar", 3050, "6430.529170223323",
-     "be0bb0fbc4aaec582abe89c198bd17952f05ed43c112fdb9f8ce78c7593eda50"),
+     "875a7903206cee2ab12a4813d637a40142b530598ea2258e13ea4b2dae5e1fd2"),
     # displacement rows
     ("72bar", 6145, "379.6148399437247",
      "31cb2b1a544d14b419b8580e62bf996393232c2219be6cc7428eb3e520073709"),
@@ -168,6 +168,29 @@ def test_max_evaluations_caps_budget(small_model):
     rec = run(small_model, _small_params(generations=500, t_sa=math.inf),
               seed=0, max_evaluations=60)
     assert rec.history[-1].generation == 6
+    assert rec.total_evaluations == 60
+
+
+@pytest.mark.parametrize("cap", [0, 49, math.nan, math.inf, 60.5])
+def test_run_refuses_a_cap_it_cannot_honour(small_model, cap, monkeypatch):
+    # the initial population alone spends 50 analyses, and a cap must be
+    # a whole number; the refusal comes before any analysis
+    factorized = []
+    monkeypatch.setattr(analysis.Analyzer, "factorize",
+                        lambda self, areas: factorized.append(areas))
+    with pytest.raises(ValueError, match="max_evaluations"):
+        run(small_model, _small_params(pop=50), seed=0, max_evaluations=cap)
+    assert factorized == []
+
+
+def test_a_cap_of_one_population_leaves_no_polish(small_model):
+    rec = run(small_model, _small_params(pop=50), seed=0, max_evaluations=50)
+    assert [s.evaluations for s in rec.history] == [50]
+    assert rec.total_evaluations == 50
+
+
+def test_a_whole_float_cap_is_its_int(small_model):
+    rec = run(small_model, _small_params(pop=50), seed=0, max_evaluations=60.0)
     assert rec.total_evaluations == 60
 
 
