@@ -28,7 +28,7 @@ class NonPositiveTemperature(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class SaParams:
     initial_temperature_fraction: float = 0.1
     cooling_alpha: float = 0.95
@@ -51,8 +51,8 @@ class SaParams:
                                 ("initial_temperature_fraction", 0, np.inf)):
             if not low < getattr(self, name) < high:
                 raise ValueError(f"{name} must lie in ({low}, {high})")
-        if not self.epsilon_fraction >= 0:
-            raise ValueError("epsilon_fraction must be non-negative")
+        if not 0 <= self.epsilon_fraction < np.inf:
+            raise ValueError("epsilon_fraction must be finite and >= 0")
 
 
 def initial_radii(top10, lo, hi):

@@ -40,7 +40,7 @@ class Individual:
     evaluated_at_generation: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class GaParams:
     population_size: int = 50
     crossover_rate: float = 0.9

@@ -31,7 +31,7 @@ from . import analysis, annealing, ga
 from .penalty import default_penalty_params
 
 
-@dataclass
+@dataclass(frozen=True)
 class HybridParams:
     t_sa: float = 1             # generations between SA launches, a whole
                                 # number; inf = plain GA

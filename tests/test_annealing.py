@@ -151,7 +151,8 @@ def test_sa_run_freezes_penalty_iteration(small_model):
     ("initial_temperature_fraction", np.nan),
     ("t_min_fraction", 0.0), ("t_min_fraction", 1.0),
     ("t_min_fraction", np.nan), ("epsilon_fraction", -1e-6),
-    ("epsilon_fraction", np.nan), ("radius_gamma", np.nan),
+    ("epsilon_fraction", np.nan), ("epsilon_fraction", np.inf),
+    ("radius_gamma", np.nan),
 ])
 def test_params_reject_values_that_break_or_empty_a_burst(field, value):
     # 0 would silently read as the default, -3 raised IndexError inside

@@ -163,6 +163,21 @@ def test_run_writes_artifacts(tmp_path, capsys):
     assert doc["constraint_margins"]
 
 
+def test_compare_arms_end_on_one_evaluation_count(tmp_path, capsys):
+    # the plain-GA arm runs as many generations as the hybrid's analysis
+    # count buys it, and its last one breeds only what that count has left
+    out = tmp_path / "out"
+    assert main(["compare", "--model", "builtin:10bar-case1", "--seeds", "5",
+                 "--generations", "4", "--population", "10",
+                 "--out", str(out)]) == 0
+    for seed in range(5):
+        hybrid_rows, plain_rows = (
+            (out / f"{arm}-seed{seed}.csv").read_text().splitlines()
+            for arm in ("hybrid", "plain"))
+        assert len(hybrid_rows) - 1 == 4 and len(plain_rows) - 1 > 4
+        assert plain_rows[-1].split(",")[4] == hybrid_rows[-1].split(",")[4]
+
+
 def test_run_lists_every_constraint_row(tmp_path, capsys):
     # 18bar has one load case and a buckling row per element: a tension
     # element's buckling row has an infinite limit, so it reads -1.0
@@ -214,26 +229,37 @@ def test_model_file_is_read_as_utf8_under_an_ascii_locale(tmp_path):
     assert done.stdout.startswith("weight: 6430.53 lb\n")
 
 
-# a `trussopt verify` of a JSON document in a fresh interpreter; prints
-# its exit code and whether numpy.random was imported
-_VERIFY_SCRIPT = """
+# a `trussopt` command in a fresh interpreter; prints its exit code and
+# which of the modules that only the optimizer needs were imported
+_COMMAND_SCRIPT = """
 import sys
 from trussopt import cli
-code = cli.main(["verify", "--model", sys.argv[1], "--areas", sys.argv[2]])
-print(code, "numpy.random" in sys.modules)
+code = cli.main(sys.argv[1:])
+print(code, [m for m in ("scipy.linalg", "numpy.random", "trussopt.polish")
+             if m in sys.modules])
 """
 
 
-def test_verify_starts_without_numpy_random(tmp_path):
-    # only the optimizer draws random numbers
-    path = tmp_path / "18bar.json"
-    path.write_text(serialize_model(benchmarks.get_builtin("18bar")))
+@pytest.mark.parametrize("command", ["verify", "list"])
+def test_verify_and_list_start_without_optimizer_modules(tmp_path, command):
+    # only the optimizer draws random numbers or polishes, and the banded
+    # Cholesky routines load without scipy.linalg; the verify reads the
+    # serialized 200bar document at its catalog areas
+    entry = benchmarks.builtin_models()["200bar"]
+    path = tmp_path / "200bar.json"
+    path.write_text(serialize_model(entry.model))
+    argv = (["verify", "--model", str(path),
+             "--areas", ",".join(map(repr, entry.reference_areas))]
+            if command == "verify" else ["list"])
     src = str(Path(trussopt.__file__).resolve().parent.parent)
     done = subprocess.run(
-        [sys.executable, "-c", _VERIFY_SCRIPT, str(path), VERIFY_18BAR[-1]],
+        [sys.executable, "-c", _COMMAND_SCRIPT, *argv],
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
         timeout=120, check=True)
-    assert done.stdout.splitlines()[-1] == "0 False"
+    lines = done.stdout.splitlines()
+    assert lines[-1] == "0 []"
+    if command == "verify":
+        assert lines[0] == "weight: 25442.60 lb"
 
 
 def test_unknown_builtin_is_model_error(capsys):
@@ -371,11 +397,20 @@ def test_overflowing_element_length_exit_2(tmp_path, capsys, command):
     assert not out.exists()
 
 
-def test_huge_integer_literal_exit_2(tmp_path, capsys):
-    p = _write_10bar(tmp_path, ("groups", 0, "area_max"), 10 ** 400)
-    assert main(["verify", "--model", p, "--areas", AREAS_10BAR]) == 2
-    assert "groups[0].area_max: number out of float range" \
-        in capsys.readouterr().err
+@pytest.mark.parametrize("path, literal, message", [
+    # an int literal beyond the float range is a located parse error
+    (("groups", 0, "area_max"), "1" + "0" * 400,
+     "groups[0].area_max: number out of float range"),
+    # json reads a float literal beyond it as inf, which validation refuses
+    (("material", "elastic_modulus"), "1e999",
+     "NonPositiveLimit: material constants must be positive and finite"),
+], ids=["int", "float"])
+def test_number_literal_beyond_the_float_range_exit_2(tmp_path, capsys, path,
+                                                      literal, message):
+    p = Path(_write_10bar(tmp_path, path, "literal"))
+    p.write_text(p.read_text().replace('"literal"', literal))
+    assert main(["verify", "--model", str(p), "--areas", AREAS_10BAR]) == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name, edits, areas, code", [

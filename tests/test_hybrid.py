@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import os
@@ -40,6 +41,17 @@ def test_params_reject_t_sa_below_one():
 def test_params_reject_t_sa_not_a_whole_number(t_sa):
     with pytest.raises(ValueError, match="whole number"):
         HybridParams(t_sa=t_sa)
+
+
+def test_params_refuse_assignment():
+    # an assigned value would skip __post_init__'s checks: t_sa = 2.5 ran
+    # bursts at generations 2 and 4, and t_sa = nan ran a plain GA
+    params = HybridParams()
+    for owner, name, value in ((params, "t_sa", 2.5),
+                               (params.ga, "max_generations", -1),
+                               (params.sa, "radius_beta", 0)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(owner, name, value)
 
 
 def test_victim_never_best_and_frequencies_match():
