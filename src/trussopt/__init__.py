@@ -13,17 +13,4 @@ Subpackages:
   cli         command-line interface
 """
 
-from .model import (Material, MemberGroup, ModelError, TrussModel,
-                    ValidationError, make_model, validate)
-from .analysis import (AnalysisError, AnalysisResult, Analyzer,
-                       SingularStructure, analyze, structure_weight)
-from .penalty import (ConstraintReport, PenaltyParams, default_penalty_params,
-                      evaluate_constraints, penalized_objective)
-from .ga import GaParams, Individual, Population
-from .annealing import SaParams
-from .hybrid import (ComparisonSummary, HybridParams, RunRecord,
-                     compare_plain_ga, run)
-from .benchmarks import BenchmarkEntry, builtin_models, builtin_names, get_builtin
-from .io import ParseError, models_equal, parse_model, serialize_model
-
 __version__ = "0.1.0"

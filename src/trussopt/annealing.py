@@ -16,7 +16,7 @@ from numbers import Integral
 
 import numpy as np
 
-from . import ga
+from . import analysis, ga
 from .model import clamp
 
 
@@ -141,17 +141,21 @@ def anneal(objective, start_design, start_value, radii, lo, hi, params, rng):
 def sa_run(start, top10, model, sa_params, penalty_params, frozen_iteration, rng):
     """SA from the fittest individual; penalty iteration held constant.
 
-    Returns (best Individual, trace): `start` itself unless a candidate
-    went below it, else the first candidate of least penalized objective,
-    which anneal always accepts and so returns as its best.
+    Each candidate is analyzed here, by one Analyzer.evaluate call, and
+    priced by one ga.evaluate_design call. Returns (best Individual,
+    trace): `start` itself unless a candidate went below it, else the
+    first candidate of least penalized objective, which anneal always
+    accepts and so returns as its best.
     """
     lo, hi = model.area_bounds()
     radii = initial_radii([ind.design for ind in top10], lo, hi)
+    an = analysis.get_analyzer(model)
     best = start
 
     def objective(design):
         nonlocal best
-        ind = ga.evaluate_design(model, design, penalty_params, frozen_iteration)
+        ind = ga.evaluate_design(an.evaluate(design), penalty_params,
+                                 frozen_iteration)
         if ind.penalized < best.penalized:
             best = ind
         return ind.penalized

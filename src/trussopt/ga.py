@@ -16,6 +16,10 @@ would make them; the operators then work on all children stacked as one
 `Analyzer.evaluate_many` analyzes them EVALUATION_CHUNK at a time, bit
 for bit as `Analyzer.evaluate` would one at a time. Analysis never
 touches the generator, so drawing first changes no number.
+
+The layer that makes a design analyzes it: `evaluate_designs` here, an
+SA burst (`annealing.sa_run`) or the polish. `evaluate_design` only
+prices an analysis into an Individual, once per analysis.
 """
 
 from dataclasses import dataclass, field, replace
@@ -37,7 +41,6 @@ class Individual:
     weight: float
     violation_total: float
     penalized: float
-    evaluated_at_generation: int
 
 
 @dataclass(frozen=True)
@@ -86,17 +89,15 @@ class Population:
 EVALUATION_CHUNK = 8
 
 
-def evaluate_design(model, areas, penalty_params, iteration, evaluation=None):
-    """The Individual of one design: clamp and analyze it (Analyzer.evaluate),
-    or take `evaluation`, what that would return, already computed (an
-    entry of Analyzer.evaluate_many, or an analysis of the polish). A
-    singular design's inf weight and violation total give it F = inf."""
-    if evaluation is None:
-        evaluation = analysis.get_analyzer(model).evaluate(areas)
+def evaluate_design(evaluation, penalty_params, iteration):
+    """The Individual of one analysis, `evaluation` = (clamped areas,
+    weight, violation total) as Analyzer.evaluate returns it, priced at
+    penalty iteration `iteration`. A singular design's inf weight and
+    violation total give it F = inf."""
     areas, weight, total = evaluation
     F = penalized_objective(weight, total, penalty_params, iteration)
     return Individual(design=areas, weight=weight, violation_total=total,
-                      penalized=F, evaluated_at_generation=iteration)
+                      penalized=F)
 
 
 def evaluate_designs(model, designs, penalty_params, iteration):
@@ -110,9 +111,9 @@ def evaluate_designs(model, designs, penalty_params, iteration):
     for stop in range(len(designs) % EVALUATION_CHUNK or EVALUATION_CHUNK,
                       len(designs) + 1, EVALUATION_CHUNK):
         chunk = designs[start:stop]
-        for areas, evaluation in zip(chunk, an.evaluate_many(chunk)):
-            individuals.append(evaluate_design(model, areas, penalty_params,
-                                               iteration, evaluation))
+        for evaluation in an.evaluate_many(chunk):
+            individuals.append(evaluate_design(evaluation, penalty_params,
+                                               iteration))
         start = stop
     return individuals
 
@@ -120,7 +121,7 @@ def evaluate_designs(model, designs, penalty_params, iteration):
 def reevaluate(ind, penalty_params, iteration):
     """Recompute F at a new penalty iteration without re-analyzing."""
     F = penalized_objective(ind.weight, ind.violation_total, penalty_params, iteration)
-    return replace(ind, penalized=F, evaluated_at_generation=iteration)
+    return replace(ind, penalized=F)
 
 
 def uniform_box(rng, low, high, rows=None):
@@ -152,13 +153,12 @@ def fitness_values(individuals):
     return np.where(np.isfinite(F), fit, 0.0)
 
 
-def select_mating_pool(pop, rng=None):
+def select_mating_pool(pop):
     """Indices of population_size parents, drawn with replacement
     proportionally to fitness."""
-    rng = pop.rng if rng is None else rng
     fit = fitness_values(pop.individuals)
     p = fit / fit.sum()
-    return rng.choice(len(pop.individuals), size=len(pop.individuals), p=p)
+    return pop.rng.choice(len(pop.individuals), size=len(pop.individuals), p=p)
 
 
 def draw_children(rng, need, n, crossover_rate):

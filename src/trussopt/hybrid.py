@@ -68,15 +68,14 @@ class RunRecord:
     seed: int
 
 
-def remove_victim_index(pop, rng=None):
+def remove_victim_index(pop):
     """Victim for SA injection: drawn proportionally to inverse fitness,
     with the current best individual excluded."""
-    rng = pop.rng if rng is None else rng
     fit = ga.fitness_values(pop.individuals)
     # zero fitness means infinite inverse fitness: those alone are drawn
     weights = (fit == 0).astype(float) if (fit == 0).any() else 1.0 / fit
     weights[ga.best_index(pop)] = 0.0
-    return int(rng.choice(len(pop.individuals), p=weights / weights.sum()))
+    return int(pop.rng.choice(len(pop.individuals), p=weights / weights.sum()))
 
 
 def _standing(ind):
@@ -159,8 +158,7 @@ def run(model, params, seed=0, max_evaluations=None, polish=True):
         iteration = max(pop.generation, 1)
         for evaluation in mma(analysis.get_analyzer(model), best.design,
                               budget - evals):
-            ind = ga.evaluate_design(model, evaluation[0], penalty_params,
-                                     iteration, evaluation)
+            ind = ga.evaluate_design(evaluation, penalty_params, iteration)
             evals += 1
             best = min((best, ind), key=_standing)
         record(history.pop().sa_ran)

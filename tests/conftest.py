@@ -50,3 +50,21 @@ def zero_bound_pair():
         Material(10000.0, 0.1), [(0, "xy"), (2, "xy")], [{1: (3.0, -12.0)}])
     groups = tuple(dataclasses.replace(g, area_min=0.0) for g in model.groups)
     return dataclasses.replace(model, groups=groups)
+
+
+@pytest.fixture
+def priced_at(monkeypatch):
+    """priced_at(module, name): a list that collects the last argument,
+    the penalty iteration, of every later call of module.name. Every
+    design of small_model is feasible, so its price F cannot show the
+    iteration."""
+    def record(module, name):
+        iterations = []
+        fn = getattr(module, name)
+
+        def recorded(*args):
+            iterations.append(args[-1])
+            return fn(*args)
+        monkeypatch.setattr(module, name, recorded)
+        return iterations
+    return record

@@ -185,29 +185,28 @@ def test_criterion_5_property_suites(small_model):
         assert a / b == pytest.approx(2.0, rel=1e-9)
 
     # selection and removal frequencies within 3 sigma over 1e5 draws
-    def pop_of(values):
+    def pop_of(values, rng):
         inds = [Individual(design=np.array([v]), weight=v, violation_total=0.0,
-                           penalized=v, evaluated_at_generation=1)
+                           penalized=v)
                 for v in values]
-        return Population(individuals=inds, generation=1,
-                          rng=np.random.default_rng(0))
+        return Population(individuals=inds, generation=1, rng=rng)
 
-    pop = pop_of([10.0, 11.0, 14.0])
     rng = np.random.default_rng(1)
+    pop = pop_of([10.0, 11.0, 14.0], rng)
     sel = np.zeros(3)
     rounds = 100_000 // 3
     for _ in range(rounds):
-        for i in ga.select_mating_pool(pop, rng=rng):
+        for i in ga.select_mating_pool(pop):
             sel[i] += 1
     total = rounds * 3
     p = np.array([10, 5, 2]) / 17
     assert np.all(np.abs(sel - total * p)
                   <= 3 * np.sqrt(total * p * (1 - p)))
 
-    pop = pop_of([10.0, 11.0, 14.0, 17.0])
+    pop = pop_of([10.0, 11.0, 14.0, 17.0], rng)
     rem = np.zeros(4)
     for _ in range(100_000):
-        rem[remove_victim_index(pop, rng=rng)] += 1
+        rem[remove_victim_index(pop)] += 1
     p = np.array([0, 2, 5, 8]) / 15
     assert rem[0] == 0
     assert np.all(np.abs(rem - 100_000 * p)

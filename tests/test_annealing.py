@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from trussopt import ga
 from trussopt.annealing import (DimensionMismatch, NonPositiveTemperature,
                                 SaParams, acceptance_probability, anneal,
                                 initial_radii, sa_run, sample_neighbor)
 from trussopt.ga import GaParams, init_population
-from trussopt.penalty import PenaltyParams
+from trussopt.penalty import PenaltyParams, penalized_objective
 
 
 def test_initial_radii_are_per_variable_spread():
@@ -131,14 +132,17 @@ def test_convex_surrogate_reaches_grid_optimum():
     assert good >= 95
 
 
-def test_sa_run_freezes_penalty_iteration(small_model):
+def test_sa_run_freezes_penalty_iteration(small_model, priced_at):
     pp = PenaltyParams(alpha=100.0)
     pop = init_population(small_model, GaParams(population_size=10), pp, 0)
     order = sorted(pop.individuals, key=lambda i: i.penalized)
+    priced = priced_at(ga, "evaluate_design")
     best, trace = sa_run(order[0], order[:10], small_model, SaParams(),
                          pp, frozen_iteration=7, rng=np.random.default_rng(0))
+    assert priced == [7] * len(trace)
     assert best.penalized <= order[0].penalized
-    assert best.evaluated_at_generation == 7 or best is order[0]
+    assert best.penalized == penalized_objective(
+        best.weight, best.violation_total, pp, 7) or best is order[0]
     assert len(trace) >= 1
 
 

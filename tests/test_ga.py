@@ -1,13 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from trussopt import benchmarks, ga
+from trussopt.analysis import get_analyzer
 from trussopt.ga import (GaParams, Individual, Population, best_index,
                          crossover, draw_children, evaluate_design,
                          evaluate_designs, fitness_values, init_population,
                          mutate, reevaluate, select_mating_pool,
                          step_generation)
-from trussopt.penalty import PenaltyParams
+from trussopt.penalty import PenaltyParams, penalized_objective
 
 
 PP = PenaltyParams(alpha=100.0)
@@ -15,8 +18,7 @@ PP = PenaltyParams(alpha=100.0)
 
 def _pop_from_values(values, seed=0):
     individuals = [Individual(design=np.array([float(v)]), weight=v,
-                              violation_total=0.0, penalized=v,
-                              evaluated_at_generation=1)
+                              violation_total=0.0, penalized=v)
                    for v in values]
     return Population(individuals=individuals, generation=1,
                       rng=np.random.default_rng(seed))
@@ -53,18 +55,22 @@ def test_default_mutation_rate_is_one_over_n():
     assert GaParams(mutation_rate=0.3).resolved_mutation_rate(8) == 0.3
 
 
-def test_init_population_within_bounds_and_evaluated(small_model):
+def test_init_population_within_bounds_and_evaluated(small_model, priced_at):
+    priced = priced_at(ga, "evaluate_design")
     pop = init_population(small_model, GaParams(population_size=20), PP, 3)
+    assert priced == [1] * 20
     lo, hi = small_model.area_bounds()
     assert pop.generation == 0
     for ind in pop.individuals:
         assert np.all(ind.design >= lo) and np.all(ind.design <= hi)
         assert np.isfinite(ind.penalized)
-        assert ind.evaluated_at_generation == 1
+        assert ind.penalized == penalized_objective(
+            ind.weight, ind.violation_total, PP, 1)
 
 
 def test_evaluate_design_clamps_before_analysis(small_model):
-    ind = evaluate_design(small_model, np.array([99.0]), PP, 1)
+    ind = evaluate_design(get_analyzer(small_model).evaluate(np.array([99.0])),
+                          PP, 1)
     assert ind.design[0] == 5.0  # area_max of the fixture
 
 
@@ -81,13 +87,12 @@ def test_fitness_of_failed_analysis_is_zero():
 
 def test_selection_frequencies_match_fitness():
     # fitness 1.0, 0.5, 0.2 -> p = (10/17, 5/17, 2/17); 3 sigma over 1e5
-    pop = _pop_from_values([10.0, 11.0, 14.0], seed=11)
-    rng = np.random.default_rng(7)
+    pop = _pop_from_values([10.0, 11.0, 14.0], seed=7)
     draws = 100_000 // len(pop.individuals)
     counts = np.zeros(3)
     total = 0
     for _ in range(draws):
-        idx = select_mating_pool(pop, rng=rng)
+        idx = select_mating_pool(pop)
         assert len(idx) == len(pop.individuals)
         for i in idx:
             counts[i] += 1
@@ -122,7 +127,7 @@ def test_crossover_rate_zero_copies_parents(small_model):
     pop = init_population(small_model, params, PP, 0)
     twin = np.random.default_rng()
     twin.bit_generator.state = pop.rng.bit_generator.state
-    parents = select_mating_pool(pop, rng=twin)
+    parents = select_mating_pool(replace(pop, rng=twin))
     nxt = step_generation(pop, small_model, params, PP)
     for k, child in enumerate(nxt.individuals[1:]):
         a = pop.individuals[parents[k]].design
@@ -152,15 +157,18 @@ def test_mutation_respects_bounds():
     assert np.all((0.0 <= out) & (out <= 1.0))
 
 
-def test_elites_survive_verbatim(small_model):
+def test_elites_survive_verbatim(small_model, priced_at):
     params = GaParams(population_size=12, elite_count=2)
     pop = init_population(small_model, params, PP, 1)
     order = sorted(pop.individuals, key=lambda i: i.penalized)
+    repriced = priced_at(ga, "reevaluate")
     nxt = step_generation(pop, small_model, params, PP)
+    assert repriced == [1, 1]
     assert nxt.generation == 1
     for elite, kept in zip(order[:2], nxt.individuals[:2]):
         np.testing.assert_array_equal(elite.design, kept.design)
-        assert kept.evaluated_at_generation == 1
+        assert kept.penalized == penalized_objective(
+            kept.weight, kept.violation_total, PP, 1)
 
 
 def test_best_monotone_with_elitism(small_model):
@@ -176,12 +184,17 @@ def test_best_monotone_with_elitism(small_model):
         best = new_best
 
 
-def test_step_generation_breeds_the_children_asked_for(small_model):
+def test_step_generation_breeds_the_children_asked_for(small_model, priced_at):
     params = GaParams(population_size=10, elite_count=2)
     pop = init_population(small_model, params, PP, 0)
+    repriced = priced_at(ga, "reevaluate")
+    priced = priced_at(ga, "evaluate_design")
     nxt = step_generation(pop, small_model, params, PP, need=3)
     assert len(nxt.individuals) == 2 + 3
-    assert [i.evaluated_at_generation for i in nxt.individuals] == [1] * 5
+    assert (repriced, priced) == ([1] * 2, [1] * 3)
+    assert [i.penalized for i in nxt.individuals] == [
+        penalized_objective(i.weight, i.violation_total, PP, 1)
+        for i in nxt.individuals]
 
 
 def test_generation_counter_advances(small_model):
@@ -266,7 +279,8 @@ def _step_reference(pop, model, ga_params, penalty_params):
             if len(children) < need:
                 c = _mutate_reference(c, rng, lo, hi, mrate,
                                       ga_params.mutation_sigma_fraction)
-                children.append(evaluate_design(model, c, penalty_params, new_gen))
+                children.append(evaluate_design(
+                    get_analyzer(model).evaluate(c), penalty_params, new_gen))
     return Population(individuals=elites + children, generation=new_gen, rng=rng)
 
 
@@ -274,10 +288,8 @@ def _same_individuals(xs, ys):
     assert len(xs) == len(ys)
     for x, y in zip(xs, ys):
         assert x.design.tobytes() == y.design.tobytes()
-        assert (repr(x.weight), repr(x.violation_total), repr(x.penalized),
-                x.evaluated_at_generation) == \
-            (repr(y.weight), repr(y.violation_total), repr(y.penalized),
-             y.evaluated_at_generation)
+        assert (repr(x.weight), repr(x.violation_total), repr(x.penalized)) == \
+            (repr(y.weight), repr(y.violation_total), repr(y.penalized))
 
 
 @pytest.mark.parametrize("name", ["18bar", "25bar"])
@@ -306,8 +318,8 @@ def test_init_population_matches_per_design_draws():
     rng = np.random.default_rng(3)
     lo, hi = model.area_bounds()
     _same_individuals(pop.individuals,
-                      [evaluate_design(model, rng.uniform(lo, hi), PP, 1)
-                       for _ in range(50)])
+                      [evaluate_design(get_analyzer(model).evaluate(
+                          rng.uniform(lo, hi)), PP, 1) for _ in range(50)])
     assert pop.rng.bit_generator.state == rng.bit_generator.state
 
 
@@ -317,14 +329,16 @@ def test_singular_child_is_infinite_and_spares_its_neighbours(zero_bound_pair):
     got = evaluate_designs(zero_bound_pair, designs, PP, 4)
     assert got[1].penalized == np.inf and got[1].weight == np.inf
     assert got[1].design.tobytes() == designs[1].tobytes()
-    _same_individuals([got[0], got[2]], [evaluate_design(zero_bound_pair, d, PP, 4)
+    an = get_analyzer(zero_bound_pair)
+    _same_individuals([got[0], got[2]], [evaluate_design(an.evaluate(d), PP, 4)
                                          for d in designs[::2]])
 
 
 def test_sa_path_scores_a_clamped_singular_design_as_infinite(zero_bound_pair):
-    # one design analyzed in the call, as an SA burst does: outside the
-    # bounds, it clamps to a zero area that leaves the apex a mechanism
-    ind = evaluate_design(zero_bound_pair, np.array([-1.0, 2.0]), PP, 4)
+    # one design analyzed by Analyzer.evaluate, as an SA burst does:
+    # outside the bounds, it clamps to a zero area that leaves the apex a
+    # mechanism
+    an = get_analyzer(zero_bound_pair)
+    ind = evaluate_design(an.evaluate(np.array([-1.0, 2.0])), PP, 4)
     assert ind.design.tobytes() == np.array([0.0, 2.0]).tobytes()
     assert (ind.weight, ind.violation_total, ind.penalized) == (np.inf,) * 3
-    assert ind.evaluated_at_generation == 4

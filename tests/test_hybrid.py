@@ -19,8 +19,7 @@ from trussopt.model import Material, MemberGroup, ModelError, make_model
 
 def _pop_from_values(values, seed=0):
     individuals = [Individual(design=np.array([float(v)]), weight=v,
-                              violation_total=0.0, penalized=v,
-                              evaluated_at_generation=1)
+                              violation_total=0.0, penalized=v)
                    for v in values]
     return Population(individuals=individuals, generation=1,
                       rng=np.random.default_rng(seed))
@@ -56,12 +55,11 @@ def test_params_refuse_assignment():
 
 def test_victim_never_best_and_frequencies_match():
     # fitness 1.0, 0.5, 0.2, 0.125 -> inverse weights 0, 2, 5, 8
-    pop = _pop_from_values([10.0, 11.0, 14.0, 17.0])
-    rng = np.random.default_rng(23)
+    pop = _pop_from_values([10.0, 11.0, 14.0, 17.0], seed=23)
     n = 100_000
     counts = np.zeros(4)
     for _ in range(n):
-        counts[remove_victim_index(pop, rng=rng)] += 1
+        counts[remove_victim_index(pop)] += 1
     assert counts[0] == 0
     p = np.array([0.0, 2.0, 5.0, 8.0]) / 15.0
     sigma = np.sqrt(n * p * (1 - p))
@@ -245,8 +243,7 @@ def test_best_of_run_rule_matches_the_explicit_rules():
             Individual(design=np.zeros(1), weight=float(rng.choice(values)),
                        violation_total=float(rng.choice([0.0, 0.0, 0.5,
                                                          math.inf])),
-                       penalized=float(rng.choice(values)),
-                       evaluated_at_generation=1)
+                       penalized=float(rng.choice(values)))
             for _ in range(n)]
         assert min(individuals, key=_standing) \
             is _track_best_reference(individuals)
