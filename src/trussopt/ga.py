@@ -148,8 +148,7 @@ def fitness_values(individuals):
     F = np.array([ind.penalized for ind in individuals])
     finite = F[np.isfinite(F)]
     f_min = finite.min() if finite.size else 0.0
-    with np.errstate(over="ignore"):
-        fit = 1.0 / (1.0 + F - f_min)
+    fit = 1.0 / (1.0 + F - f_min)
     return np.where(np.isfinite(F), fit, 0.0)
 
 

@@ -24,19 +24,10 @@ def _pop_from_values(values, seed=0):
                       rng=np.random.default_rng(seed))
 
 
-def test_params_reject_tiny_population():
-    with pytest.raises(ValueError):
-        GaParams(population_size=9)
-
-
-def test_params_reject_negative_generations():
-    with pytest.raises(ValueError):
-        GaParams(max_generations=-3)
-
-
 @pytest.mark.parametrize("field, value", [
-    ("population_size", 12.5), ("elite_count", 1.5), ("max_generations", 2.5),
-    ("max_generations", np.nan), ("crossover_rate", np.nan),
+    ("population_size", 12.5), ("population_size", 9), ("elite_count", 1.5),
+    ("max_generations", 2.5), ("max_generations", np.nan),
+    ("max_generations", -3), ("crossover_rate", np.nan),
     ("crossover_rate", 1.5), ("crossover_rate", -0.1),
     ("mutation_rate", -1.0), ("mutation_rate", 1.5), ("mutation_rate", np.nan),
     ("mutation_sigma_fraction", np.nan), ("mutation_sigma_fraction", -0.1),
@@ -83,23 +74,6 @@ def test_fitness_of_failed_analysis_is_zero():
     pop = _pop_from_values([10.0, np.inf])
     fit = fitness_values(pop.individuals)
     assert fit[1] == 0.0 and fit[0] == 1.0
-
-
-def test_selection_frequencies_match_fitness():
-    # fitness 1.0, 0.5, 0.2 -> p = (10/17, 5/17, 2/17); 3 sigma over 1e5
-    pop = _pop_from_values([10.0, 11.0, 14.0], seed=7)
-    draws = 100_000 // len(pop.individuals)
-    counts = np.zeros(3)
-    total = 0
-    for _ in range(draws):
-        idx = select_mating_pool(pop)
-        assert len(idx) == len(pop.individuals)
-        for i in idx:
-            counts[i] += 1
-        total += len(idx)
-    p = np.array([10, 5, 2]) / 17.0
-    sigma = np.sqrt(total * p * (1 - p))
-    assert np.all(np.abs(counts - total * p) <= 3 * sigma)
 
 
 def test_crossover_children_in_extended_interval():

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 import math
 import os
 import subprocess
@@ -10,19 +11,10 @@ import numpy as np
 import pytest
 
 import trussopt
-from trussopt import analysis, benchmarks
-from trussopt.ga import GaParams, Individual, Population
-from trussopt.hybrid import (HybridParams, RunRecord, _standing,
-                             compare_plain_ga, remove_victim_index, run)
+from trussopt import analysis, benchmarks, io
+from trussopt.ga import GaParams, Individual
+from trussopt.hybrid import HybridParams, _standing, compare_plain_ga, run
 from trussopt.model import Material, MemberGroup, ModelError, make_model
-
-
-def _pop_from_values(values, seed=0):
-    individuals = [Individual(design=np.array([float(v)]), weight=v,
-                              violation_total=0.0, penalized=v)
-                   for v in values]
-    return Population(individuals=individuals, generation=1,
-                      rng=np.random.default_rng(seed))
 
 
 def _small_params(generations=8, t_sa=3, pop=10):
@@ -31,12 +23,7 @@ def _small_params(generations=8, t_sa=3, pop=10):
                                     max_generations=generations))
 
 
-def test_params_reject_t_sa_below_one():
-    with pytest.raises(ValueError):
-        HybridParams(t_sa=0)
-
-
-@pytest.mark.parametrize("t_sa", [math.nan, 2.5])
+@pytest.mark.parametrize("t_sa", [math.nan, 2.5, 0])
 def test_params_reject_t_sa_not_a_whole_number(t_sa):
     with pytest.raises(ValueError, match="whole number"):
         HybridParams(t_sa=t_sa)
@@ -51,19 +38,6 @@ def test_params_refuse_assignment():
                                (params.sa, "radius_beta", 0)):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(owner, name, value)
-
-
-def test_victim_never_best_and_frequencies_match():
-    # fitness 1.0, 0.5, 0.2, 0.125 -> inverse weights 0, 2, 5, 8
-    pop = _pop_from_values([10.0, 11.0, 14.0, 17.0], seed=23)
-    n = 100_000
-    counts = np.zeros(4)
-    for _ in range(n):
-        counts[remove_victim_index(pop)] += 1
-    assert counts[0] == 0
-    p = np.array([0.0, 2.0, 5.0, 8.0]) / 15.0
-    sigma = np.sqrt(n * p * (1 - p))
-    assert np.all(np.abs(counts - n * p) <= 3 * np.maximum(sigma, 1.0))
 
 
 def test_run_is_deterministic_per_seed(small_model):
@@ -298,36 +272,68 @@ def test_compare_budgets_match(small_model):
     assert summary.hybrid_median == np.median(summary.hybrid_weights)
 
 
+# each argument is a built-in's "name:generations", whose seed-0 run prints
+# its history and best design, or a model document, whose Analyzer prints
+# the evaluations of three random designs
 _HISTORY_SCRIPT = """
 import sys
-from trussopt import benchmarks, ga, hybrid
-name, generations = sys.argv[1], int(sys.argv[2])
-rec = hybrid.run(benchmarks.get_builtin(name),
-                 hybrid.HybridParams(ga=ga.GaParams(max_generations=generations)),
-                 seed=0)
-print(repr([(h.generation, h.best_F, h.mean_F, h.best_feasible_weight,
-             h.evaluations, h.sa_ran) for h in rec.history]))
-print(rec.best.design.tobytes().hex())
+from pathlib import Path
+import numpy as np
+from trussopt import analysis, benchmarks, ga, hybrid, io
+for arg in sys.argv[1:]:
+    if arg.endswith(".json"):
+        model = io.parse_model(Path(arg).read_text())
+        an = analysis.Analyzer(model)
+        lo, hi = model.area_bounds()
+        designs = np.random.default_rng(1).uniform(lo, hi, (3, lo.size))
+        print(arg, [an.evaluate(d)[1:] for d in designs])
+        continue
+    name, generations = arg.split(":")
+    params = hybrid.HybridParams(ga=ga.GaParams(max_generations=int(generations)))
+    rec = hybrid.run(benchmarks.get_builtin(name), params, seed=0)
+    print(name, repr([(h.generation, h.best_F, h.mean_F, h.best_feasible_weight,
+                       h.evaluations, h.sa_ran) for h in rec.history]))
+    print(name, rec.best.design.tobytes().hex())
 """
 
 
-def test_run_is_deterministic_across_processes():
+def _renumbered(name, rng):
+    """The document of built-in `name` with node i renumbered perm[i],
+    perm a permutation drawn from rng."""
+    doc = json.loads(io.serialize_model(benchmarks.get_builtin(name)))
+    perm = [int(i) for i in rng.permutation(len(doc["nodes"]))]
+    for node in doc["nodes"]:
+        node["id"] = perm[node["id"]]
+    doc["nodes"].sort(key=lambda node: node["id"])
+    for element in doc["elements"]:
+        element["a"], element["b"] = perm[element["a"]], perm[element["b"]]
+    for entry in doc["supports"] + [load for case in doc["load_cases"]
+                                    for load in case["loads"]]:
+        entry["node"] = perm[entry["node"]]
+    return json.dumps(doc)
+
+
+def test_run_is_deterministic_across_processes(tmp_path):
     # string hashing and the BLAS thread count must not reach the history
     # or the polish (25bar has displacement limits on the dofs {x, y, z};
-    # 200bar has the widest system, 150 free dofs; 18bar has buckling rows)
+    # 200bar has the widest built-in system, 150 free dofs; 18bar has
+    # buckling rows), nor an analysis whose band is wider than 128, a
+    # size at which LAPACK's dense solves change bytes with the thread
+    # count: 200bar with its nodes shuffled
+    wide = tmp_path / "200bar-shuffled.json"
+    wide.write_text(_renumbered("200bar", np.random.default_rng(0)))
+    assert analysis.Analyzer(io.parse_model(wide.read_text())).kd > 128
     src = str(Path(trussopt.__file__).resolve().parent.parent)
 
-    def histories(name, generations, settings):
-        outputs = set()
-        for hash_seed, threads in settings:
-            env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed,
-                   "OPENBLAS_NUM_THREADS": threads}
-            done = subprocess.run(
-                [sys.executable, "-c", _HISTORY_SCRIPT, name, str(generations)],
-                env=env, capture_output=True, text=True, timeout=300, check=True)
-            outputs.add(done.stdout)
-        return outputs
+    def output(hash_seed, threads, *args):
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed,
+               "OPENBLAS_NUM_THREADS": threads}
+        return subprocess.run(
+            [sys.executable, "-c", _HISTORY_SCRIPT, *args], env=env,
+            capture_output=True, text=True, timeout=300, check=True).stdout
 
-    assert len(histories("25bar", 10, (("0", "1"), ("1", "1"), ("0", "2")))) == 1
-    assert len(histories("200bar", 3, (("0", "1"), ("0", "2")))) == 1
-    assert len(histories("18bar", 10, (("0", "1"), ("0", "2")))) == 1
+    every = ("25bar:10", "200bar:3", "18bar:10", str(wide))
+    one_thread = output("0", "1", *every)
+    assert len(one_thread.splitlines()) == 7
+    assert output("0", "2", *every) == one_thread
+    assert one_thread.startswith(output("1", "1", "25bar:10"))
