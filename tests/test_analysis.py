@@ -2,6 +2,8 @@ import dataclasses
 import gc
 import hashlib
 import math
+import os
+import subprocess
 import sys
 import weakref
 from pathlib import Path
@@ -9,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import trussopt
 from trussopt import analysis, benchmarks, io
 from trussopt.analysis import (Analyzer, SingularStructure, analyze,
                                reject_mechanism, structure_weight)
@@ -459,6 +462,27 @@ def test_constraint_table_row_order(name):
         pairs = [(w["node"], w["dof"]) for kind, w in zip(kinds, where)
                  if kind == "displacement"]
         assert pairs and pairs == sorted(pairs)
+
+
+# a user's command in a fresh interpreter; prints whether scipy.linalg was
+# imported, then whether the analysis holds scipy.linalg.lapack's routines
+_STARTUP_SCRIPT = """
+import sys
+from trussopt import analysis, cli
+code = cli.main(["verify", "--model", "builtin:18bar",
+                 "--areas", "10,21.6506,12.5,7.0711"])
+print(code, "scipy.linalg" in sys.modules)
+import scipy.linalg.lapack as lapack
+print(analysis.dpbtrf is lapack.dpbtrf, analysis.dpbtrs is lapack.dpbtrs)
+"""
+
+
+def test_a_command_starts_without_importing_scipy_linalg():
+    src = str(Path(trussopt.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", _STARTUP_SCRIPT],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout.splitlines()[-2:] == ["0 False", "True True"]
 
 
 def test_lapack_routines_fall_back_to_the_public_import(monkeypatch):
