@@ -15,8 +15,6 @@ their supports.
 
 import math
 from dataclasses import dataclass
-from itertools import chain
-from operator import itemgetter
 from typing import Optional
 
 import numpy as np
@@ -109,13 +107,6 @@ class TrussModel:
         return mask
 
 
-def _rows_of(rows, width, kind):
-    """Whether `rows` holds only tuples of `width` values of exact type
-    `kind`, checked a column of types at a time."""
-    return (set(map(type, rows)) <= {tuple} and set(map(len, rows)) <= {width}
-            and set(map(type, chain.from_iterable(rows))) <= {kind})
-
-
 def _force(force):
     f = tuple(map(float, force))
     return f + (0.0,) if len(f) == 2 else f
@@ -123,14 +114,9 @@ def _force(force):
 
 def _load_case(loads):
     """A load case as sorted (node, (fx, fy, fz)) pairs of an int and
-    floats. Pairs in that form already, as io.parse_model hands them
-    over, are only sorted."""
-    pairs = list(loads.items() if isinstance(loads, dict) else loads)
-    if not (set(map(type, pairs)) <= {tuple} and set(map(len, pairs)) <= {2}
-            and set(map(type, map(itemgetter(0), pairs))) <= {int}
-            and _rows_of(list(map(itemgetter(1), pairs)), 3, float)):
-        pairs = [(int(node), _force(f)) for node, f in pairs]
-    return tuple(sorted(pairs))
+    floats, from a {node: force} dict or an iterable of pairs."""
+    pairs = loads.items() if isinstance(loads, dict) else loads
+    return tuple(sorted((int(node), _force(f)) for node, f in pairs))
 
 
 def make_model(name, nodes, elements, groups, material, supports, load_cases,
@@ -146,19 +132,18 @@ def make_model(name, nodes, elements, groups, material, supports, load_cases,
         force gets fz = 0, and each case keeps its loads sorted.
     displacement_limits: list of (nodes, dofs, limit).
 
-    The model keeps each support as a (node, frozenset of dofs) pair and
-    each displacement limit as a (frozenset of nodes, frozenset of dofs,
-    float limit) triple. Planar models (all z == 0, no z loads) get one
-    support per node: z fixed, unioned with every entry that names the
-    node. An entry that names no node is kept after them, for validate to
-    report.
+    Whatever the input's number types, the model keeps each element as a
+    triple of Python ints, each load as an (int node, float 3-tuple) pair,
+    each support as a (node, frozenset of dofs) pair and each displacement
+    limit as a (frozenset of nodes, frozenset of dofs, float limit) triple.
+    Planar models (all z == 0, no z loads) get one support per node: z
+    fixed, unioned with every entry that names the node. An entry that
+    names no node is kept after them, for validate to report.
     """
     rows = [c if len(c) == 3 else (*c, 0.0) for c in nodes]
     coords = np.array(rows, dtype=float).reshape(len(rows), 3)
     coords.flags.writeable = False
-    elements = tuple(elements)
-    if not _rows_of(elements, 3, int):
-        elements = tuple((int(a), int(b), int(g)) for a, b, g in elements)
+    elements = tuple((int(a), int(b), int(g)) for a, b, g in elements)
     cases = tuple(map(_load_case, load_cases))
 
     planar = not coords[:, 2].any() and all(
@@ -201,31 +186,18 @@ def validate(model):
     problems = []
     n = model.n_nodes
 
-    for i in np.flatnonzero(~np.isfinite(model.coords).all(axis=1)).tolist():
-        problems.append(("NonFiniteCoords", f"node {i} has non-finite coordinates"))
+    finite = np.isfinite(model.coords).all(axis=1).tolist()
+    for i, ok in enumerate(finite):
+        if not ok:
+            problems.append(("NonFiniteCoords", f"node {i} has non-finite coordinates"))
 
+    # a length is computed as Analyzer computes it, the root of the summed
+    # squares, so finite ends whose length overflows there are caught here
     n_groups = model.n_groups
-    # each element check is one array pass over the (a, b, group) rows, and
-    # only an element that fails one is visited, in element order; an id
-    # beyond int64 reads as -1, which names nothing either. An element whose
-    # ends name no node reads length 0, as does a self-loop, but is not
-    # reported as zero length. Finite ends may give a length that overflows
-    try:
-        abg = np.fromiter(chain.from_iterable(model.elements), dtype=int,
-                          count=3 * model.n_elements)
-    except OverflowError:
-        abg = np.array([-1 if abs(v) >= 2 ** 63 else v
-                        for v in chain.from_iterable(model.elements)], dtype=int)
-    abg = abg.reshape(-1, 3)
-    in_range = (abg >= 0) & (abg < (n, n, n_groups))
-    ends = np.where(in_range[:, :2].all(axis=1, keepdims=True), abg[:, :2], 0)
-    xyz = model.coords[ends]
-    with np.errstate(over="ignore", invalid="ignore"):
-        delta = xyz[:, 1] - xyz[:, 0]
-        lengths = np.sqrt((delta * delta).sum(axis=1))
-    overflows = ~np.isfinite(lengths) & np.isfinite(xyz).all(axis=(1, 2))
-    for i in np.flatnonzero(~in_range.all(axis=1) | (lengths < 1e-12) | overflows).tolist():
-        a, b, g = model.elements[i]
+    xyz = model.coords.tolist()
+    used_groups = set()
+    for i, (a, b, g) in enumerate(model.elements):
+        used_groups.add(g)
         if a == b:
             problems.append(("ZeroLengthElement", f"element {i} connects node {a} to itself"))
         for nid in (a, b):
@@ -233,20 +205,18 @@ def validate(model):
                 problems.append(("DanglingReference", f"element {i} references missing node {nid}"))
         if not (0 <= g < n_groups):
             problems.append(("DanglingReference", f"element {i} references missing group {g}"))
-        if a != b and 0 <= a < n and 0 <= b < n and lengths[i] < 1e-12:
-            problems.append(("ZeroLengthElement", f"element {i} has zero length"))
-        if overflows[i]:
-            problems.append(("NonFiniteLength", f"element {i} has a non-finite length"))
-    used_groups = set(map(itemgetter(2), model.elements))
+        if a != b and 0 <= a < n and 0 <= b < n:
+            (xa, ya, za), (xb, yb, zb) = xyz[a], xyz[b]
+            dx, dy, dz = xb - xa, yb - ya, zb - za
+            length = math.sqrt(dx * dx + dy * dy + dz * dz)
+            if length < 1e-12:
+                problems.append(("ZeroLengthElement", f"element {i} has zero length"))
+            elif finite[a] and finite[b] and not math.isfinite(length):
+                problems.append(("NonFiniteLength", f"element {i} has a non-finite length"))
 
-    # 0 < area_min <= area_max < inf also fails on a NaN, as do the
-    # 0 < x < inf checks of the buckling and material constants
-    for i, g in [(i, g) for i, g in enumerate(model.groups)
-                 if not (0 < g.area_min <= g.area_max < math.inf
-                         and g.stress_tension_limit > 0
-                         and g.stress_compression_limit > 0
-                         and (g.buckling_k is None or 0 < g.buckling_k < math.inf)
-                         and i in used_groups)]:
+    # 0 < area_min <= area_max also fails on a NaN, as do the 0 < x < inf
+    # checks of the buckling and material constants
+    for i, g in enumerate(model.groups):
         if not all(map(math.isfinite, (g.area_min, g.area_max))):
             problems.append(("NonFiniteBound", f"group {i} has a non-finite area bound"))
         elif not (0 < g.area_min <= g.area_max):
@@ -262,30 +232,22 @@ def validate(model):
             and 0 < model.material.weight_density < math.inf):
         problems.append(("NonPositiveLimit", "material constants must be positive and finite"))
 
-    dof_names = set(DOF_NAMES)
-    for node, dofs in [(node, dofs) for node, dofs in model.supports
-                       if not (0 <= node < n and dofs <= dof_names)]:
+    for node, dofs in model.supports:
         if not (0 <= node < n):
             problems.append(("DanglingReference", f"support references missing node {node}"))
         bad = dofs.difference(DOF_NAMES)
         if bad:
             problems.append(("UnknownDof", f"support on node {node} fixes unknown dofs {sorted(bad, key=str)}"))
 
-    # per load case, one pass over its nodes and one over its force
-    # values; only a case that fails one looks for its faulty loads
     for j, loads in enumerate(model.load_cases):
-        nodes = list(map(itemgetter(0), loads))
-        values = list(chain.from_iterable(map(itemgetter(1), loads)))
-        if nodes and not (0 <= min(nodes) and max(nodes) < n
-                          and all(map(math.isfinite, values))):
-            for nid, f in [(nid, f) for nid, f in loads
-                           if not (0 <= nid < n and all(map(math.isfinite, f)))]:
-                if not (0 <= nid < n):
-                    problems.append(("DanglingReference", f"load case {j} references missing node {nid}"))
-                if not all(map(math.isfinite, f)):
-                    problems.append(("NonFiniteLoad", f"load case {j} has a non-finite load on node {nid}"))
+        for nid, f in loads:
+            if not (0 <= nid < n):
+                problems.append(("DanglingReference", f"load case {j} references missing node {nid}"))
+            # each component on its own: a sum of finite ones may overflow
+            if not all(map(math.isfinite, f)):
+                problems.append(("NonFiniteLoad", f"load case {j} has a non-finite load on node {nid}"))
         # a NaN is nonzero too, as it is != 0.0
-        if not any(values):
+        if not any(any(f) for _, f in loads):
             problems.append(("NonPositiveLimit", f"load case {j} has no nonzero load"))
     if not model.load_cases:
         problems.append(("NoLoadCase", "model has no load case"))
@@ -293,7 +255,7 @@ def validate(model):
     for nodes, dofs, limit in model.displacement_limits:
         if not limit > 0:
             problems.append(("NonPositiveLimit", "displacement limit must be positive"))
-        for nid in nodes:
+        for nid in sorted(nodes):
             if not (0 <= nid < n):
                 problems.append(("DanglingReference", f"displacement limit references missing node {nid}"))
         bad = dofs.difference(DOF_NAMES)

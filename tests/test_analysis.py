@@ -522,8 +522,8 @@ def test_lapack_routines_fall_back_to_the_public_import(monkeypatch):
 
 @pytest.mark.parametrize("name", benchmarks.builtin_names())
 def test_a_parsed_document_gives_the_same_analyzer(name):
-    # the JSON reader hands make_model loads and element triples already
-    # in model form, where a built-in's pass through its normalization
+    # a built-in and the model parsed from its JSON document give the
+    # same Analyzer arrays, byte for byte
     model = benchmarks.get_builtin(name)
     built = Analyzer(model)
     parsed = Analyzer(io.parse_model(io.serialize_model(model)))

@@ -375,9 +375,8 @@ def test_an_empty_element_list_leaves_every_group_empty():
 
 
 def test_200bar_problems_keep_model_order():
-    # validate checks each kind in array or comprehension passes and
-    # visits only the entries that fail; it reports what the per-entry
-    # loops reported, in the same order
+    # several faults in one document are reported in model order: the
+    # elements, then the supports, then each load case
     doc = _doc("200bar")
     elements = doc["elements"]
     elements[3]["b"] = elements[3]["a"]

@@ -146,8 +146,10 @@ def test_validate_returns_model_unchanged():
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_non_finite_load_rejected(bad):
+    # each component is checked on its own: case 2's components are
+    # finite, though their sum overflows
     with pytest.raises(ValidationError) as exc:
-        _make(loads=({1: (10, 0)}, {1: (10, bad)}))
+        _make(loads=({1: (10, 0)}, {1: (10, bad)}, {1: (1e308, 1e308, 0)}))
     assert exc.value.problems == [
         ("NonFiniteLoad", "load case 1 has a non-finite load on node 1")]
 
@@ -166,6 +168,33 @@ def test_unknown_displacement_limit_dof_rejected():
         ("UnknownDof", "displacement limit names unknown dofs ['q']")]
 
 
+def test_displacement_limit_nodes_reported_in_sorted_order():
+    # 9 and 17 share a hash slot, so a frozenset's iteration order follows
+    # the order they were listed in; both listings are the same model
+    for nodes in ([9, 17], [17, 9]):
+        with pytest.raises(ValidationError) as exc:
+            _make(displacement_limits=[(nodes, "x", 1.0)])
+        assert exc.value.problems == [
+            ("DanglingReference", f"displacement limit references missing node {nid}")
+            for nid in (9, 17)]
+
+
+def test_input_is_normalized_one_way():
+    # numpy and integral float ids become Python ints; int and 2-D forces
+    # become sorted float 3-tuples, from dict and from list cases alike
+    m = _make(nodes=[(0, 0), (100, 0), (50, 80)],
+              elements=[np.array([0, 1, 0]), (1.0, 2.0, 0.0),
+                        (np.int64(2), np.int64(0), np.int64(0))],
+              loads=({2: (1, -2), 1: (3, 0, 0)},
+                     [(2, (1, -2)), (np.int64(1), np.array([3.0, 0.0]))]))
+    assert m.elements == ((0, 1, 0), (1, 2, 0), (2, 0, 0))
+    assert all(type(v) is int for element in m.elements for v in element)
+    for loads in m.load_cases:
+        assert loads == ((1, (3.0, 0.0, 0.0)), (2, (1.0, -2.0, 0.0)))
+        assert all(type(node) is int and type(f) is tuple
+                   and all(type(v) is float for v in f) for node, f in loads)
+
+
 def test_z_load_makes_a_flat_model_3d():
     m = _make(loads=({1: (10, 0, 7)},))
     assert list(m.supports) == [
@@ -173,10 +202,9 @@ def test_z_load_makes_a_flat_model_3d():
 
 
 def test_problems_are_reported_in_model_order():
-    # the zero-length check reads one vectorized norm of all lengths, yet
-    # each element's problems still follow the node problems in element
-    # order: coincident nodes 1 and 2, a self-loop, a NaN node, and ends
-    # that name a missing node or group
+    # each element's problems follow the node problems in element order:
+    # coincident nodes 1 and 2, a self-loop, a NaN node, and ends that
+    # name a missing node or group
     with pytest.raises(ValidationError) as exc:
         _make(nodes=[(0, 0), (100, 0), (100, 0), (float("nan"), 5), (0, 50)],
               elements=[(0, 1, 0), (1, 2, 0), (2, 2, 0), (3, 0, 0),
@@ -195,19 +223,21 @@ def test_problems_are_reported_in_model_order():
 
 
 def test_overflowing_length_rejected_and_located():
-    # finite coordinates whose difference or squared length overflows: an
-    # inf length would give a zero stiffness and an inf weight. A NaN node
-    # and a missing node are reported as before, not as a length
+    # finite coordinates whose difference, squares or summed squares
+    # overflow: an inf length would give a zero stiffness and an inf
+    # weight. A NaN node and a missing node are reported as before, not as
+    # a length
     with pytest.raises(ValidationError) as exc:
         _make(nodes=[(1e308, 0), (-1e308, 0), (1e200, 50), (float("nan"), 0),
-                     (0, 50)],
-              elements=[(0, 1, 0), (2, 4, 0), (3, 4, 0), (0, 9, 0)],
+                     (0, 50), (1e308, 1e308), (0, 0)],
+              elements=[(0, 1, 0), (2, 4, 0), (3, 4, 0), (0, 9, 0), (5, 6, 0)],
               supports=[(0, "xy"), (4, "xy")])
     assert exc.value.problems == [
         ("NonFiniteCoords", "node 3 has non-finite coordinates"),
         ("NonFiniteLength", "element 0 has a non-finite length"),
         ("NonFiniteLength", "element 1 has a non-finite length"),
-        ("DanglingReference", "element 3 references missing node 9")]
+        ("DanglingReference", "element 3 references missing node 9"),
+        ("NonFiniteLength", "element 4 has a non-finite length")]
 
 
 def test_planar_supports_union_every_entry_of_a_node():
